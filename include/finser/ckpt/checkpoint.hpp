@@ -99,8 +99,8 @@ struct UnitRunResult {
 /// one unit (index == begin, end == begin + 1); must return a non-empty blob.
 using UnitFn = std::function<std::vector<std::uint8_t>(const exec::ChunkRange&)>;
 
-/// Run \p n_units independent work units on \p pool with checkpoint/resume
-/// and cooperative cancellation per \p run:
+/// Run \p n_units independent work units, at most \p threads at once (0 =
+/// auto), with checkpoint/resume and cooperative cancellation per \p run:
 ///
 ///  - A valid checkpoint at run.checkpoint_path (matching \p fingerprint and
 ///    \p n_units) seeds the completed set; an invalid one is discarded with
@@ -114,7 +114,7 @@ using UnitFn = std::function<std::vector<std::uint8_t>(const exec::ChunkRange&)>
 ///  - On success the checkpoint file is removed and all blobs returned in
 ///    index order, restored and fresh alike — callers decode and reduce them
 ///    pairwise exactly as an uninterrupted run would.
-UnitRunResult run_units(exec::ThreadPool& pool, std::size_t n_units,
+UnitRunResult run_units(std::size_t threads, std::size_t n_units,
                         std::uint64_t fingerprint, const RunOptions& run,
                         const UnitFn& compute);
 
@@ -148,7 +148,7 @@ using ConvergedFn = std::function<bool(
 /// slot per *potential* unit, so a resumed run replays the same rounds,
 /// re-evaluates the same prefix statistics, and reaches the same stopping
 /// boundary; the returned blobs are the completed prefix in index order.
-UnitRunResult run_units_adaptive(exec::ThreadPool& pool, std::size_t n_units,
+UnitRunResult run_units_adaptive(std::size_t threads, std::size_t n_units,
                                  std::uint64_t fingerprint,
                                  const RunOptions& run,
                                  const AdaptiveSchedule& schedule,

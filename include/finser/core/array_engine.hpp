@@ -238,8 +238,9 @@ class ArrayEngine {
 
  protected:
   /// Per-worker mutable state: the Transporter keeps internal scratch and
-  /// the strike loop reuses per-cell charge slots, so each pool slot gets
-  /// its own copy (created lazily on first chunk, on the worker's thread).
+  /// the strike loop reuses per-cell charge slots, so each worker slot of
+  /// the region gets its own copy (created lazily on the slot's first
+  /// chunk; a slot runs one chunk at a time).
   struct WorkerScratch {
     phys::Transporter transporter;
     std::vector<sram::StrikeCharges> cell_charges;

@@ -89,8 +89,8 @@ struct SerFlowConfig {
   BinCache* cluster_cache = nullptr;
 
   /// Total thread budget of the flow; 0 = auto (FINSER_THREADS, else
-  /// hardware concurrency). sweep() splits it into an outer level over
-  /// energy bins and an inner level over strikes; stage configs with
+  /// hardware concurrency). sweep() caps both its region over energy bins
+  /// and the strike regions nested in it at this budget; stage configs with
   /// explicit nonzero `threads` keep their own setting. Never affects
   /// results.
   std::size_t threads = 0;
@@ -143,9 +143,9 @@ class SerFlow {
   /// Neutron spectra are dispatched to the forced-interaction neutron MC
   /// (indirect ionization — the paper's future-work extension); charged
   /// species use the direct-ionization ArrayMc. Bins run in parallel as the
-  /// outer task level (per-bin seeds are pre-drawn in bin order, so results
-  /// are thread-count-invariant), with the strike loops nested inside on
-  /// the remaining thread budget.
+  /// outer region (per-bin seeds are pre-drawn in bin order, so results
+  /// are thread-count-invariant), with each bin's strike loop a region
+  /// nested inside it that idle threads help.
   /// With \p run active the sweep is checkpointable and cancellable: the
   /// unit of work is one energy bin (blob = serialized ArrayMcResult), and
   /// run.cancel also interrupts *inside* a bin at strike-chunk granularity.

@@ -3,8 +3,8 @@
 /// \brief Thread-safe, rate-limited progress reporting for the MC engines.
 ///
 /// ProgressSink replaces the old single-threaded string-callback progress
-/// hook: work units are counted on an atomic, message emission is serialized
-/// behind a mutex and throttled (tick floods from thousands of parallel
+/// hook: work units are counted and lines emitted under one mutex, so lines
+/// appear in count order, throttled (tick floods from thousands of parallel
 /// chunks collapse into one line every `min_interval`), and the sink is a
 /// cheap shared-state handle, so engines can pass it by value into worker
 /// lambdas. A default-constructed sink is disabled and every call on it is a

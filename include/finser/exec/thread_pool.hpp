@@ -1,15 +1,26 @@
 #pragma once
 /// \file thread_pool.hpp
-/// \brief Deterministic chunked thread pool + pairwise reduction.
+/// \brief The process-lifetime chunked thread pool + pairwise reduction.
 ///
-/// The pool is deliberately work-stealing-free: a parallel region splits
-/// `n_items` into fixed-size chunks and the workers claim chunk *indices*
-/// from a single atomic counter. Which thread executes which chunk is
-/// scheduling noise; everything an engine needs for reproducibility is keyed
-/// by the chunk index (RNG stream id, partial-result slot), so results are
-/// bit-identical for 1 and N threads. parallel_reduce() completes the
+/// One pool serves the whole process. It is built lazily by the first
+/// parallel region and grown to the largest thread count any region asks
+/// for; its threads then live until exit. A parallel region splits
+/// `n_items` into fixed-size chunks and its participants claim chunk
+/// *indices* from a single atomic counter. Which thread executes which chunk
+/// is scheduling noise; everything an engine needs for reproducibility is
+/// keyed by the chunk index (RNG stream id, partial-result slot), so results
+/// are bit-identical for 1 and N threads. parallel_reduce() completes the
 /// pattern: per-chunk partials land in an index-addressed vector and are
 /// merged by a deterministic pairwise tree, never in completion order.
+///
+/// Regions nest. A chunk may submit a region of its own; the submitting
+/// thread is that region's worker slot 0 and, while it waits for the region
+/// to drain, it runs chunks of that region only. Any idle pool thread claims
+/// chunks of any active region (oldest first) as long as the region has
+/// fewer than `threads` participants, and takes a free worker slot in
+/// [1, threads). So ChunkRange::worker is unique among the running chunks of
+/// one region — per-slot scratch needs no lock — while two regions may run
+/// the same slot number at once.
 
 #include <cstddef>
 #include <functional>
@@ -26,46 +37,55 @@ struct ChunkRange {
   std::size_t index;   ///< Chunk index — the deterministic key.
   std::size_t begin;   ///< First item of the chunk.
   std::size_t end;     ///< One past the last item.
-  std::size_t worker;  ///< Executing worker slot in [0, thread_count()).
+  std::size_t worker;  ///< Worker slot in [0, threads) of the region.
 };
 
-/// Chunked fork-join pool. Worker threads persist across regions; the
-/// calling thread participates as worker slot 0, so a pool with
-/// thread_count() == 1 runs regions inline with zero synchronization
-/// overhead. Regions must not be launched from inside the pool's own
-/// workers (nest by giving inner engines their own pool / thread budget).
-class ThreadPool {
+using ChunkFn = std::function<void(const ChunkRange&)>;
+
+/// Run \p fn over ceil(n_items / chunk) chunks with at most \p threads
+/// participants (the caller included; 0 = resolve_threads(0)) and block
+/// until the region drains. With threads == 1 or a single chunk the region
+/// runs inline on the caller with no synchronization. May be called from
+/// inside a chunk of another region, and from several threads at once.
+///
+/// The first exception thrown by \p fn aborts the region (chunks not yet
+/// claimed are skipped) and is rethrown here. If \p cancel is non-null,
+/// participants poll it before claiming each chunk and stop at the next
+/// chunk boundary once it fires; chunks already started still run to
+/// completion, so the region never leaves partial-chunk state behind.
+/// Returns true iff every chunk executed (false means the region was
+/// cancelled; the set of executed chunk indices is whatever \p fn recorded).
+bool parallel_for_chunks(std::size_t threads, std::size_t n_items,
+                         std::size_t chunk, const ChunkFn& fn,
+                         const CancelToken* cancel = nullptr);
+
+namespace detail {
+struct Region;
+}  // namespace detail
+
+/// Releases further chunks of a parallel_for_released() region.
+class Releaser {
  public:
-  /// \param threads total concurrency including the caller;
-  ///        0 = resolve_threads(0) (FINSER_THREADS, else hardware).
-  explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
+  explicit Releaser(detail::Region& region) : region_(&region) {}
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Total concurrency of a region (workers + the calling thread).
-  std::size_t thread_count() const { return workers_count_ + 1; }
-
-  /// Run \p fn over ceil(n_items / chunk) chunks and block until the region
-  /// drains. The first exception thrown by \p fn aborts the region
-  /// (remaining chunks are skipped) and is rethrown here.
-  ///
-  /// If \p cancel is non-null, workers poll it before claiming each chunk
-  /// and stop at the next chunk boundary once it fires; chunks already
-  /// started still run to completion, so the region never leaves
-  /// partial-chunk state behind. Returns true iff every chunk executed
-  /// (false means the region was cancelled; the set of executed chunk
-  /// indices is whatever \p fn recorded).
-  bool parallel_for_chunks(std::size_t n_items, std::size_t chunk,
-                           const std::function<void(const ChunkRange&)>& fn,
-                           const CancelToken* cancel = nullptr);
+  /// Make the next \p n chunks (in index order) claimable.
+  void release(std::size_t n = 1) const;
 
  private:
-  struct Impl;
-  Impl* impl_;
-  std::size_t workers_count_;
+  detail::Region* region_;
 };
+
+/// Dependency-driven region of \p n_chunks one-item chunks: only chunks
+/// below the release mark may be claimed. The mark starts at \p released
+/// and a running chunk moves it on through the Releaser it is handed
+/// (typically once the work that later chunks need is done). Participants,
+/// slots, nesting and exceptions behave as in parallel_for_chunks(). Every
+/// chunk must eventually be released by a chunk of this region; a region
+/// whose running chunks all finish short of n_chunks throws
+/// util::LogicError instead of waiting forever.
+void parallel_for_released(
+    std::size_t threads, std::size_t n_chunks, std::size_t released,
+    const std::function<void(const ChunkRange&, const Releaser&)>& fn);
 
 /// Deterministic pairwise tree reduction: merges (0,1), (2,3), ... and
 /// repeats until one value remains. Independent of how \p parts were
@@ -89,12 +109,12 @@ T reduce_pairwise(std::vector<T> parts, MergeFn merge) {
 /// pairwise in chunk-index order. T must be default-constructible; \p map is
 /// (const ChunkRange&) -> T, \p merge is (T, T) -> T.
 template <typename T, typename MapFn, typename MergeFn>
-T parallel_reduce(ThreadPool& pool, std::size_t n_items, std::size_t chunk,
+T parallel_reduce(std::size_t threads, std::size_t n_items, std::size_t chunk,
                   MapFn&& map, MergeFn&& merge) {
   FINSER_REQUIRE(n_items > 0 && chunk > 0, "parallel_reduce: empty region");
   const std::size_t n_chunks = (n_items + chunk - 1) / chunk;
   std::vector<T> parts(n_chunks);
-  pool.parallel_for_chunks(n_items, chunk, [&](const ChunkRange& r) {
+  parallel_for_chunks(threads, n_items, chunk, [&](const ChunkRange& r) {
     parts[r.index] = map(r);
   });
   return reduce_pairwise(std::move(parts), std::forward<MergeFn>(merge));

@@ -167,16 +167,17 @@ void append_fit_rows(util::CsvTable& table, const std::string& species,
 
 // --- stage graph ------------------------------------------------------------
 
-/// A small deterministic DAG scheduler: stages run in dependency waves on
-/// the exec thread budget. Within a wave, stages run concurrently on an
-/// exec::ThreadPool and each receives an equal share of the budget for its
-/// *internal* parallelism (flows and characterizers are thread-count-
-/// invariant, so the split never changes results — only wall-clock).
-/// Exceptions thrown by a stage propagate out of run().
+/// A small deterministic DAG scheduler on the exec thread budget. A stage
+/// starts as soon as its dependencies finish, and every stage receives the
+/// whole budget as the cap of its *internal* parallel regions; those nest
+/// in the shared exec pool, so threads a serial stage leaves idle help the
+/// stages beside it (flows and characterizers are thread-count-invariant,
+/// so the schedule never changes results — only wall-clock). Exceptions
+/// thrown by a stage propagate out of run().
 class StageGraph {
  public:
   /// Add a stage. \p deps are indices of previously added stages (so the
-  /// graph is acyclic by construction); \p fn receives its thread share.
+  /// graph is acyclic by construction); \p fn receives the thread budget.
   /// Returns the stage's index.
   std::size_t add(std::string label, std::vector<std::size_t> deps,
                   std::function<void(std::size_t threads)> fn);

@@ -119,19 +119,20 @@ class CellCharacterizer {
   // The expensive stages take the cancel token (polled between strike
   // simulations) and accumulate per-sample solver-failure bookkeeping into
   // attempted/failed (see PofTable::attempted_samples).
-  SingleCdf characterize_single(exec::ThreadPool& pool, detail::SimSlots& sims,
-                                int which, std::uint64_t seed,
+  SingleCdf characterize_single(detail::SimSlots& sims, int which,
+                                std::uint64_t seed,
                                 const exec::CancelToken* cancel,
-                                std::size_t& attempted, std::size_t& failed) const;
-  void characterize_pair(exec::ThreadPool& pool, detail::SimSlots& sims, int a,
-                         int b, const util::Axis& axis, double sigma_q_fc,
+                                std::size_t& attempted,
+                                std::size_t& failed) const;
+  void characterize_pair(detail::SimSlots& sims, int a, int b,
+                         const util::Axis& axis, double sigma_q_fc,
                          std::uint64_t seed, util::Grid2& pv,
                          util::Grid2& nominal, const exec::CancelToken* cancel,
                          std::size_t& attempted, std::size_t& failed) const;
-  void characterize_triple(exec::ThreadPool& pool, detail::SimSlots& sims,
-                           const util::Axis& axis, double sigma_q_fc,
-                           std::uint64_t seed, util::Grid3& pv,
-                           util::Grid3& nominal, const exec::CancelToken* cancel,
+  void characterize_triple(detail::SimSlots& sims, const util::Axis& axis,
+                           double sigma_q_fc, std::uint64_t seed,
+                           util::Grid3& pv, util::Grid3& nominal,
+                           const exec::CancelToken* cancel,
                            std::size_t& attempted, std::size_t& failed) const;
 
   CellDesign design_;

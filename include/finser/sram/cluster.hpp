@@ -32,6 +32,7 @@
 /// `cluster = 1x1` (the default) bypasses all of this: the engines keep the
 /// independent per-cell path bit-for-bit.
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -180,10 +181,13 @@ class ClusterSimulator {
 };
 
 /// Memoized cluster-level POF surface: quantized joint charge vector →
-/// flip-count distribution, one lazily built ClusterSimulator per supply
-/// voltage. Thread-safe; every entry is a pure function of its key (PV
-/// seeds derive from the key hash), so concurrent or repeated computes of
-/// one key agree bit-for-bit and the memo is schedule-invariant.
+/// flip-count distribution. Thread-safe, and joint simulations run outside
+/// the lock: each one borrows an idle ClusterSimulator of its supply voltage
+/// (built lazily, so there is one per voltage and concurrent simulation). A
+/// key being simulated is marked in flight; a second query for it waits and
+/// counts as a hit, so every key is simulated exactly once. Every entry is a
+/// pure function of its key (PV seeds derive from the key hash), so the memo
+/// is schedule-invariant.
 class ClusterPofSurface {
  public:
   ClusterPofSurface(const CellDesign& design, const ClusterConfig& config);
@@ -223,16 +227,22 @@ class ClusterPofSurface {
 
  private:
   using Key = std::vector<std::int64_t>;
-  const std::vector<double>& evaluate_locked(const Key& key, double vdd_v,
-                                             bool with_pv,
-                                             const std::vector<CellCharge>& q);
-  ClusterSimulator& simulator_locked(double vdd_v);
+  struct Entry {
+    std::vector<double> dist;
+    bool ready = false;  ///< False while the key is being simulated.
+  };
+  std::vector<double> evaluate(const Key& key, bool with_pv,
+                               const std::vector<CellCharge>& q,
+                               ClusterSimulator& sim) const;
 
   CellDesign design_;
   ClusterConfig config_;
   mutable std::mutex mu_;
-  std::map<Key, std::vector<double>> memo_;
-  std::map<std::int64_t, std::unique_ptr<ClusterSimulator>> sims_;
+  std::condition_variable ready_cv_;  ///< Signals in-flight keys settling.
+  std::map<Key, Entry> memo_;
+  /// Simulators not in use, per supply voltage in µV.
+  std::map<std::int64_t, std::vector<std::unique_ptr<ClusterSimulator>>>
+      idle_sims_;
 };
 
 }  // namespace finser::sram

@@ -172,7 +172,7 @@ namespace {
 /// entry points read and write the same file format and a checkpoint taken
 /// by one resumes under the other (the fingerprint is what distinguishes
 /// configurations, not the driver).
-UnitRunResult run_rounds(exec::ThreadPool& pool, std::size_t n_units,
+UnitRunResult run_rounds(std::size_t threads, std::size_t n_units,
                          std::uint64_t fingerprint, const RunOptions& run,
                          const std::vector<std::size_t>& bounds,
                          const UnitFn& compute, const ConvergedFn& converged) {
@@ -236,8 +236,8 @@ UnitRunResult run_rounds(exec::ThreadPool& pool, std::size_t n_units,
     try {
       // The round region re-bases chunk indices at lo so unit r.index keeps
       // its global identity (RNG stream, blob slot) regardless of rounds.
-      completed = pool.parallel_for_chunks(
-          bound - lo, 1,
+      completed = exec::parallel_for_chunks(
+          threads, bound - lo, 1,
           [&](const exec::ChunkRange& r) {
             body(exec::ChunkRange{r.index + lo, r.begin + lo, r.end + lo,
                                   r.worker});
@@ -282,16 +282,16 @@ UnitRunResult run_rounds(exec::ThreadPool& pool, std::size_t n_units,
 
 }  // namespace
 
-UnitRunResult run_units(exec::ThreadPool& pool, std::size_t n_units,
+UnitRunResult run_units(std::size_t threads, std::size_t n_units,
                         std::uint64_t fingerprint, const RunOptions& run,
                         const UnitFn& compute) {
   FINSER_REQUIRE(n_units > 0, "ckpt::run_units: no work units");
   // One round spanning everything, no predicate: completes every unit.
-  return run_rounds(pool, n_units, fingerprint, run, {n_units}, compute,
+  return run_rounds(threads, n_units, fingerprint, run, {n_units}, compute,
                     ConvergedFn{});
 }
 
-UnitRunResult run_units_adaptive(exec::ThreadPool& pool, std::size_t n_units,
+UnitRunResult run_units_adaptive(std::size_t threads, std::size_t n_units,
                                  std::uint64_t fingerprint,
                                  const RunOptions& run,
                                  const AdaptiveSchedule& schedule,
@@ -300,7 +300,7 @@ UnitRunResult run_units_adaptive(exec::ThreadPool& pool, std::size_t n_units,
   FINSER_REQUIRE(n_units > 0, "ckpt::run_units_adaptive: no work units");
   FINSER_REQUIRE(static_cast<bool>(converged),
                  "ckpt::run_units_adaptive: convergence predicate required");
-  return run_rounds(pool, n_units, fingerprint, run,
+  return run_rounds(threads, n_units, fingerprint, run,
                     round_boundaries(n_units, schedule), compute, converged);
 }
 

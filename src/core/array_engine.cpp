@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "finser/exec/exec.hpp"
 #include "finser/exec/thread_pool.hpp"
 #include "finser/obs/obs.hpp"
 #include "finser/phys/collection.hpp"
@@ -432,8 +433,8 @@ ArrayMcResult ArrayEngine::run_point(const EnergyPoint& point,
   phys::Transporter::Config tc;
   tc.straggling = straggling();
 
-  exec::ThreadPool pool(threads());
-  std::vector<std::unique_ptr<WorkerScratch>> workers(pool.thread_count());
+  const std::size_t slots = exec::resolve_threads(threads());
+  std::vector<std::unique_ptr<WorkerScratch>> workers(slots);
   progress.start_phase(unit_label(), units());
 
   // Chunk i consumes stats::Rng::stream(seed, i) and nothing else, and the
@@ -467,13 +468,13 @@ ArrayMcResult ArrayEngine::run_point(const EnergyPoint& point,
     // Fixed-budget paths, untouched: with CI stopping disabled the driver is
     // byte-identical to its pre-adaptive form.
     if (!run_opts.active()) {
-      total = exec::parallel_reduce<McPartial>(pool, units(), chunk_size(),
+      total = exec::parallel_reduce<McPartial>(slots, units(), chunk_size(),
                                                process_chunk, McPartial::merge);
     } else {
       const std::size_t n_chunks = (units() + chunk_size() - 1) / chunk_size();
       const std::uint64_t fp = point_fingerprint(point, seed);
       const ckpt::UnitRunResult unit_result = ckpt::run_units(
-          pool, n_chunks, fp, run_opts, [&](const exec::ChunkRange& u) {
+          slots, n_chunks, fp, run_opts, [&](const exec::ChunkRange& u) {
             return process_chunk(chunk_for_unit(u)).encode();
           });
       std::vector<McPartial> parts;
@@ -512,7 +513,7 @@ ArrayMcResult ArrayEngine::run_point(const EnergyPoint& point,
       return worst <= ci.target;
     };
     const ckpt::UnitRunResult unit_result = ckpt::run_units_adaptive(
-        pool, n_chunks, fp, run_opts, schedule,
+        slots, n_chunks, fp, run_opts, schedule,
         [&](const exec::ChunkRange& u) {
           return process_chunk(chunk_for_unit(u)).encode();
         },

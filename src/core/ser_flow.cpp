@@ -183,18 +183,17 @@ EnergySweepResult SerFlow::sweep(const env::Spectrum& spectrum,
   std::vector<std::uint64_t> bin_seeds(n_bins);
   for (std::uint64_t& s : bin_seeds) s = mc_seed_cursor_++;
 
-  // Two-level split of the thread budget: energy bins as the outer task
-  // level, the strike loop inside each bin on the remainder. Each bin gets
-  // its own engine instance (engines are cheap; the heavy state lives in
-  // the per-worker transporters inside run()).
+  // Energy bins are one region and each bin's strike loop a region nested
+  // inside it, both capped at the full budget: threads that run out of
+  // bins help the bins still running. Each bin gets its own engine
+  // instance (engines are cheap; the heavy state lives in the per-worker
+  // transporters inside run()).
   const std::size_t budget = exec::resolve_threads(config_.threads);
-  const std::size_t outer = std::max<std::size_t>(1, std::min(n_bins, budget));
-  const std::size_t inner = std::max<std::size_t>(1, budget / outer);
 
   ArrayMcConfig charged_cfg = config_.array_mc;
-  if (charged_cfg.threads == 0) charged_cfg.threads = inner;
+  if (charged_cfg.threads == 0) charged_cfg.threads = budget;
   NeutronMcConfig neutron_cfg = config_.neutron_mc;
-  if (neutron_cfg.threads == 0) neutron_cfg.threads = inner;
+  if (neutron_cfg.threads == 0) neutron_cfg.threads = budget;
 
   // Correlated charge-collection mode (charged species only): every bin's
   // engine shares the flow's cluster surface, so memoized joint simulations
@@ -226,7 +225,6 @@ EnergySweepResult SerFlow::sweep(const env::Spectrum& spectrum,
   }
 
   result.per_bin.resize(n_bins);
-  exec::ThreadPool outer_pool(outer);
   const auto run_bin = [&](std::size_t i) {
     const env::EnergyBin& bin = result.bins[i];
     std::ostringstream label;
@@ -286,11 +284,10 @@ EnergySweepResult SerFlow::sweep(const env::Spectrum& spectrum,
   };
 
   if (!run.active()) {
-    outer_pool.parallel_for_chunks(n_bins, 1, [&](const exec::ChunkRange& r) {
-      for (std::size_t i = r.begin; i < r.end; ++i) {
-        result.per_bin[i] = run_bin(i);
-      }
-    });
+    exec::parallel_for_chunks(budget, n_bins, 1,
+                              [&](const exec::ChunkRange& r) {
+                                result.per_bin[r.index] = run_bin(r.index);
+                              });
   } else {
     // Checkpointable sweep: one unit per energy bin, blob = the bin's
     // serialized ArrayMcResult. Restored bins are skipped; everything else
@@ -299,7 +296,7 @@ EnergySweepResult SerFlow::sweep(const env::Spectrum& spectrum,
         sweep_fingerprint(config_, layout_, model.config_fingerprint,
                           spectrum.species(), result.bins, bin_seeds, neutron);
     const ckpt::UnitRunResult units = ckpt::run_units(
-        outer_pool, n_bins, fp, run, [&](const exec::ChunkRange& u) {
+        budget, n_bins, fp, run, [&](const exec::ChunkRange& u) {
           return encode_result(run_bin(u.index));
         });
     if (progress && units.reused > 0) {

@@ -9,7 +9,7 @@ struct ProgressSink::State {
   MessageFn fn;
   std::chrono::milliseconds min_interval{250};
 
-  std::mutex mutex;  // Guards fn, last_emit, label, total.
+  std::mutex mutex;  // Guards fn, last_emit, label, total and done updates.
   std::chrono::steady_clock::time_point last_emit{};
   std::string label = "progress";
   std::uint64_t total = 0;
@@ -50,12 +50,15 @@ void ProgressSink::start_phase(const std::string& label,
 
 void ProgressSink::tick(std::uint64_t n) const {
   if (!state_) return;
+  // Count and emit under one lock: a tick that counted earlier can never
+  // print after the line of a tick that counted later, so the phase's
+  // final "N/N" line is always the last one.
+  std::lock_guard<std::mutex> lk(state_->mutex);
   const std::uint64_t done =
       state_->done.fetch_add(n, std::memory_order_relaxed) + n;
 
   // The final tick of a phase always reports; intermediate ticks are
   // throttled to one line per min_interval.
-  std::lock_guard<std::mutex> lk(state_->mutex);
   const bool final_tick = state_->total > 0 && done >= state_->total;
   const auto now = std::chrono::steady_clock::now();
   if (!final_tick && now - state_->last_emit < state_->min_interval) return;

@@ -1,5 +1,6 @@
 #include "finser/exec/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -12,28 +13,62 @@
 
 namespace finser::exec {
 
-struct ThreadPool::Impl {
-  std::vector<std::thread> workers;
+namespace detail {
 
-  std::mutex m;
-  std::condition_variable start_cv;
-  std::condition_variable done_cv;
-  std::uint64_t epoch = 0;   // Bumped once per region.
-  std::size_t busy = 0;      // Workers still inside the current region.
-  bool stop = false;
+/// One parallel region. Lives on its owner's stack; the pool only points at
+/// it while it is registered.
+struct Region {
+  Region(const ChunkFn& f, const CancelToken* c, std::size_t items,
+         std::size_t chunk_size, std::size_t threads_requested)
+      : fn(&f),
+        cancel(c),
+        n_items(items),
+        chunk(chunk_size),
+        n_chunks((items + chunk_size - 1) / chunk_size),
+        threads(std::min(resolve_threads(threads_requested), n_chunks)),
+        released(n_chunks) {}
 
-  // Current region (valid between the epoch bump and busy == 0).
-  const std::function<void(const ChunkRange&)>* fn = nullptr;
-  const CancelToken* cancel = nullptr;
-  std::size_t n_items = 0;
-  std::size_t chunk = 0;
-  std::size_t n_chunks = 0;
-  std::atomic<std::size_t> next_chunk{0};
+  const ChunkFn* fn;
+  const CancelToken* cancel;
+  const std::size_t n_items;
+  const std::size_t chunk;
+  const std::size_t n_chunks;
+  const std::size_t threads;  // Participant cap, owner included.
+
+  std::atomic<std::size_t> next{0};  // Next chunk index to claim.
+  std::atomic<std::size_t> released;  // Chunks below this may be claimed.
   std::atomic<std::size_t> executed{0};
   std::atomic<std::uint64_t> cancel_seen_ns{0};  // now_ns() at first detection.
+
+  std::mutex error_m;
   std::exception_ptr error;
 
-  /// Claim and execute chunks until the region is drained. Any schedule is
+  // Guarded by the pool mutex.
+  std::size_t helpers = 0;               // Pool threads inside run_chunks.
+  std::vector<std::uint8_t> slot_taken;  // Helper slots [1, threads).
+  std::condition_variable owner_cv;
+
+  bool claimable() const {
+    return next.load(std::memory_order_relaxed) <
+           released.load(std::memory_order_acquire);
+  }
+
+  /// Stop handing out chunks (error or cancel): claims fail from now on.
+  void drain() { next.store(n_chunks, std::memory_order_relaxed); }
+
+  bool try_claim(std::size_t& i) {
+    std::size_t cur = next.load(std::memory_order_relaxed);
+    while (cur < released.load(std::memory_order_acquire)) {
+      if (next.compare_exchange_weak(cur, cur + 1,
+                                     std::memory_order_relaxed)) {
+        i = cur;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Claim and execute chunks until none is claimable. Any schedule is
   /// fine: chunk indices, not threads, key the deterministic state. The
   /// cancel token is polled only here, between chunks, so a chunk either
   /// runs to completion or never starts.
@@ -45,127 +80,163 @@ struct ThreadPool::Impl {
           cancel_seen_ns.compare_exchange_strong(expect, obs::now_ns(),
                                                  std::memory_order_relaxed);
         }
-        next_chunk.store(n_chunks, std::memory_order_relaxed);
+        drain();
         return;
       }
-      const std::size_t i = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n_chunks) return;
-      const ChunkRange r{i, i * chunk, std::min(n_items, (i + 1) * chunk), slot};
+      std::size_t i = 0;
+      if (!try_claim(i)) return;
+      const ChunkRange r{i, i * chunk, std::min(n_items, (i + 1) * chunk),
+                         slot};
       try {
         obs::ScopedSpan span("exec.chunk");
         (*fn)(r);
         executed.fetch_add(1, std::memory_order_relaxed);
         FINSER_OBS_COUNT("exec.chunks", 1);
       } catch (...) {
-        std::lock_guard<std::mutex> lk(m);
-        if (!error) error = std::current_exception();
-        // Drain the remaining chunks: fail fast instead of finishing a
-        // region whose result is already lost.
-        next_chunk.store(n_chunks, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  void worker_main(std::size_t slot) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lk(m);
-        start_cv.wait(lk, [&] { return stop || epoch != seen; });
-        if (stop) return;
-        seen = epoch;
-      }
-      run_chunks(slot);
-      {
-        std::lock_guard<std::mutex> lk(m);
-        if (--busy == 0) done_cv.notify_one();
+        {
+          std::lock_guard<std::mutex> lk(error_m);
+          if (!error) error = std::current_exception();
+        }
+        // Fail fast instead of finishing a region whose result is lost.
+        drain();
       }
     }
   }
 };
 
-ThreadPool::ThreadPool(std::size_t threads) : impl_(new Impl) {
-  const std::size_t n = resolve_threads(threads);
-  workers_count_ = n - 1;
-  impl_->workers.reserve(workers_count_);
-  for (std::size_t slot = 1; slot <= workers_count_; ++slot) {
-    impl_->workers.emplace_back([this, slot] { impl_->worker_main(slot); });
+/// The process-lifetime pool: a set of parked threads plus the list of
+/// regions they may help. Destroyed at exit, when every region has drained.
+class Pool {
+ public:
+  static Pool& instance() {
+    static Pool pool;
+    return pool;
   }
-}
 
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lk(impl_->m);
-    impl_->stop = true;
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
+  ~Pool() {
+    {
+      std::lock_guard<std::mutex> lk(m_);
+      stop_ = true;
+    }
+    work_cv_.notify_all();
+    for (std::thread& t : threads_) t.join();
   }
-  impl_->start_cv.notify_all();
-  for (std::thread& t : impl_->workers) t.join();
-  delete impl_;
-}
 
-bool ThreadPool::parallel_for_chunks(
-    std::size_t n_items, std::size_t chunk,
-    const std::function<void(const ChunkRange&)>& fn,
-    const CancelToken* cancel) {
-  FINSER_REQUIRE(chunk > 0, "ThreadPool: chunk size must be positive");
-  if (n_items == 0) return true;
-  const std::size_t n_chunks = (n_items + chunk - 1) / chunk;
+  /// Share \p r with the pool, run it on the calling thread as slot 0, and
+  /// return once it is drained and no pool thread is inside it.
+  void run(Region& r) {
+    {
+      std::lock_guard<std::mutex> lk(m_);
+      while (threads_.size() + 1 < r.threads) {
+        threads_.emplace_back([this] { worker_main(); });
+      }
+      r.slot_taken.assign(r.threads, 0);
+      active_.push_back(&r);
+    }
+    work_cv_.notify_all();
+
+    // The owner helps only its own region — which keeps the region's slot
+    // bookkeeping local and makes nested waits deadlock-free: every region
+    // can always be finished by its owner alone.
+    std::unique_lock<std::mutex> lk(m_, std::defer_lock);
+    for (;;) {
+      r.run_chunks(0);
+      lk.lock();
+      r.owner_cv.wait(lk, [&] { return r.claimable() || r.helpers == 0; });
+      if (!r.claimable()) break;
+      lk.unlock();
+    }
+    active_.erase(std::find(active_.begin(), active_.end(), &r));
+  }
+
+  void release(Region& r, std::size_t n) {
+    {
+      std::lock_guard<std::mutex> lk(m_);
+      r.released.store(
+          std::min(r.n_chunks, r.released.load(std::memory_order_relaxed) + n),
+          std::memory_order_release);
+      r.owner_cv.notify_one();
+    }
+    work_cv_.notify_all();
+  }
+
+ private:
+  Pool() = default;
+
+  /// Oldest registered region with a claimable chunk and a free slot.
+  Region* pick_locked() const {
+    for (Region* r : active_) {
+      if (r->helpers + 1 < r->threads && r->claimable()) return r;
+    }
+    return nullptr;
+  }
+
+  void worker_main() {
+    std::unique_lock<std::mutex> lk(m_);
+    for (;;) {
+      Region* r = nullptr;
+      work_cv_.wait(lk, [&] {
+        r = pick_locked();
+        return stop_ || r != nullptr;
+      });
+      if (stop_) return;
+      std::size_t slot = 1;
+      while (r->slot_taken[slot] != 0) ++slot;
+      r->slot_taken[slot] = 1;
+      ++r->helpers;
+      lk.unlock();
+      r->run_chunks(slot);
+      lk.lock();
+      r->slot_taken[slot] = 0;
+      if (--r->helpers == 0) r->owner_cv.notify_one();
+    }
+  }
+
+  std::mutex m_;
+  std::condition_variable work_cv_;
+  std::vector<Region*> active_;  // Registration order: oldest first.
+  bool stop_ = false;
+  std::vector<std::thread> threads_;  // Last: the workers use the above.
+};
+
+}  // namespace detail
+
+namespace {
+
+/// Run \p r to completion: inline when it cannot use a second thread, else
+/// shared with the pool. Rethrows the region's first exception; returns
+/// true iff every chunk executed (false: cancelled).
+bool run_region(detail::Region& r) {
   obs::ScopedSpan region_span("exec.region");
   FINSER_OBS_COUNT("exec.regions", 1);
-  FINSER_OBS_COUNT("exec.items", n_items);
-  FINSER_OBS_GAUGE("exec.region_chunks", n_chunks);
+  FINSER_OBS_COUNT("exec.items", r.n_items);
+  FINSER_OBS_GAUGE("exec.region_chunks", r.n_chunks);
 
-  if (workers_count_ == 0) {
-    // Inline fast path: no synchronization, identical chunk decomposition
-    // and identical cancellation points.
-    for (std::size_t i = 0; i < n_chunks; ++i) {
-      if (cancel != nullptr && cancel->cancelled()) {
-        FINSER_OBS_COUNT("exec.cancelled_regions", 1);
-        return false;
-      }
-      obs::ScopedSpan span("exec.chunk");
-      fn({i, i * chunk, std::min(n_items, (i + 1) * chunk), 0});
-      FINSER_OBS_COUNT("exec.chunks", 1);
-    }
-    return true;
+  if (r.threads > 1 && r.n_chunks > 1) {
+    detail::Pool::instance().run(r);
+  } else {
+    r.run_chunks(0);
+  }
+  if (r.error) std::rethrow_exception(r.error);
+  const std::size_t unclaimed =
+      r.n_chunks - r.next.load(std::memory_order_relaxed);
+  if (unclaimed > 0) {
+    throw util::LogicError("exec: region stalled with " +
+                           std::to_string(unclaimed) +
+                           " chunk(s) never released");
   }
 
-  {
-    std::lock_guard<std::mutex> lk(impl_->m);
-    impl_->fn = &fn;
-    impl_->cancel = cancel;
-    impl_->n_items = n_items;
-    impl_->chunk = chunk;
-    impl_->n_chunks = n_chunks;
-    impl_->next_chunk.store(0, std::memory_order_relaxed);
-    impl_->executed.store(0, std::memory_order_relaxed);
-    impl_->cancel_seen_ns.store(0, std::memory_order_relaxed);
-    impl_->error = nullptr;
-    impl_->busy = workers_count_;
-    ++impl_->epoch;
-  }
-  impl_->start_cv.notify_all();
-
-  impl_->run_chunks(0);  // The caller is worker slot 0.
-
-  std::exception_ptr error;
-  std::size_t executed = 0;
-  {
-    std::unique_lock<std::mutex> lk(impl_->m);
-    impl_->done_cv.wait(lk, [&] { return impl_->busy == 0; });
-    impl_->fn = nullptr;
-    impl_->cancel = nullptr;
-    error = impl_->error;
-    executed = impl_->executed.load(std::memory_order_relaxed);
-  }
-  if (error) std::rethrow_exception(error);
-  if (executed != n_chunks && !error) {
+  const std::size_t executed = r.executed.load(std::memory_order_relaxed);
+  if (executed != r.n_chunks) {
     FINSER_OBS_COUNT("exec.cancelled_regions", 1);
     if (obs::enabled()) {
-      // Latency from the first worker noticing the cancel to the region
-      // fully draining (workers parked, caller unblocked).
+      // Latency from the first participant noticing the cancel to the
+      // region fully draining (helpers gone, caller unblocked).
       const std::uint64_t seen =
-          impl_->cancel_seen_ns.load(std::memory_order_relaxed);
+          r.cancel_seen_ns.load(std::memory_order_relaxed);
       if (seen != 0) {
         const std::uint64_t end = obs::now_ns();
         static obs::DurationStat& latency =
@@ -174,7 +245,36 @@ bool ThreadPool::parallel_for_chunks(
       }
     }
   }
-  return executed == n_chunks;
+  return executed == r.n_chunks;
+}
+
+}  // namespace
+
+void Releaser::release(std::size_t n) const {
+  detail::Pool::instance().release(*region_, n);
+}
+
+bool parallel_for_chunks(std::size_t threads, std::size_t n_items,
+                         std::size_t chunk, const ChunkFn& fn,
+                         const CancelToken* cancel) {
+  FINSER_REQUIRE(chunk > 0, "parallel_for_chunks: chunk size must be positive");
+  if (n_items == 0) return true;
+  detail::Region r(fn, cancel, n_items, chunk, threads);
+  return run_region(r);
+}
+
+void parallel_for_released(
+    std::size_t threads, std::size_t n_chunks, std::size_t released,
+    const std::function<void(const ChunkRange&, const Releaser&)>& fn) {
+  FINSER_REQUIRE(released <= n_chunks,
+                 "parallel_for_released: more chunks released than exist");
+  if (n_chunks == 0) return;
+  ChunkFn body;
+  detail::Region r(body, nullptr, n_chunks, 1, threads);
+  r.released.store(released, std::memory_order_relaxed);
+  const Releaser releaser(r);
+  body = [&](const ChunkRange& c) { fn(c, releaser); };
+  run_region(r);
 }
 
 }  // namespace finser::exec

@@ -1,6 +1,7 @@
 #include "finser/obs/report.hpp"
 
 #include <cstdio>
+#include <initializer_list>
 
 #include "finser/util/error.hpp"
 #include "finser/util/io.hpp"
@@ -114,35 +115,41 @@ util::JsonValue build_run_report(const Snapshot& snapshot, const RunInfo& info) 
   }
   timing["gauges"] = std::move(gauges);
 
-  // Derived rates: events per busy-second of the span that timed them
-  // (busy-seconds sum across parallel workers, so at 1 thread this is a
-  // wall rate and at N threads an aggregate-throughput rate).
+  // Derived rates: events per busy-second of the spans that time every path
+  // producing them (busy-seconds sum across parallel workers, so at 1
+  // thread this is a wall rate and at N threads an aggregate-throughput
+  // rate). The spans of one rate never nest, so no time counts twice.
   const auto counter_total = [&](const char* name) -> std::uint64_t {
     for (const auto& c : snapshot.counters) {
       if (c.name == name) return c.total;
     }
     return 0;
   };
-  const auto span_total_s = [&](const char* name) -> double {
-    for (const auto& d : snapshot.durations) {
-      if (d.name == name) return seconds(d.total_ns);
+  const auto busy_s = [&](std::initializer_list<const char*> names) {
+    double total = 0.0;
+    for (const char* name : names) {
+      for (const auto& d : snapshot.durations) {
+        if (d.name == name) total += seconds(d.total_ns);
+      }
     }
-    return 0.0;
+    return total;
+  };
+  const auto rate = [](std::uint64_t events, double busy) {
+    return busy > 0.0 ? static_cast<double>(events) / busy : 0.0;
   };
   util::JsonValue derived = util::JsonValue::object();
   const std::uint64_t particles = counter_total("core.array_mc.strikes") +
                                   counter_total("core.neutron_mc.histories") +
                                   counter_total("phys.fin_mc.samples");
-  const double mc_busy_s = span_total_s("core.array_mc.run") +
-                           span_total_s("core.neutron_mc.run") +
-                           span_total_s("phys.fin_mc.run");
   derived["particles"] = particles;
   derived["particles_per_second"] =
-      mc_busy_s > 0.0 ? static_cast<double>(particles) / mc_busy_s : 0.0;
-  const std::uint64_t transients = counter_total("spice.tran.runs");
-  const double tran_s = span_total_s("spice.tran.run");
+      rate(particles, busy_s({"core.array_mc.run", "core.neutron_mc.run",
+                              "phys.fin_mc.run"}));
+  // spice.tran.runs counts scalar transients and every lane of a batched
+  // one alike, so both engines' spans are the denominator.
   derived["transients_per_second"] =
-      tran_s > 0.0 ? static_cast<double>(transients) / tran_s : 0.0;
+      rate(counter_total("spice.tran.runs"),
+           busy_s({"spice.tran.run", "spice.tran.run_batch"}));
   timing["derived"] = std::move(derived);
 
   const Registry& reg = Registry::global();

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <mutex>
 #include <utility>
+#include <vector>
 
 #include "finser/exec/exec.hpp"
 #include "finser/exec/thread_pool.hpp"
@@ -689,43 +691,48 @@ std::size_t StageGraph::add(std::string label, std::vector<std::size_t> deps,
 void StageGraph::run(std::size_t thread_budget,
                      const exec::ProgressSink& progress) const {
   const std::size_t budget = exec::resolve_threads(thread_budget);
+  const std::size_t n = stages_.size();
 
-  // Level = longest dependency chain; stages of one level form a wave.
-  std::vector<std::size_t> level(stages_.size(), 0);
-  std::size_t max_level = 0;
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    for (std::size_t d : stages_[i].deps) {
-      level[i] = std::max(level[i], level[d] + 1);
-    }
-    max_level = std::max(max_level, level[i]);
+  // Chunk k of the region runs the k-th stage to become ready; a finishing
+  // stage releases one chunk per dependent it unblocks. `m` guards
+  // `waiting` and `order`, which finishing stages update concurrently.
+  std::mutex m;
+  std::vector<std::size_t> waiting(n);
+  std::vector<std::vector<std::size_t>> dependents(n);
+  std::vector<std::size_t> order;
+  order.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    waiting[i] = stages_[i].deps.size();
+    for (std::size_t d : stages_[i].deps) dependents[d].push_back(i);
+    if (waiting[i] == 0) order.push_back(i);
   }
 
-  for (std::size_t wave = 0; wave <= max_level; ++wave) {
-    std::vector<std::size_t> ready;
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-      if (level[i] == wave) ready.push_back(i);
-    }
-    if (ready.empty()) continue;
-
-    const std::size_t share = std::max<std::size_t>(1, budget / ready.size());
-    const auto run_stage = [&](std::size_t id, std::size_t threads) {
-      const Stage& stage = stages_[id];
-      obs::ScopedSpan span("pipeline.stage", stage.label);
-      if (progress) progress.message("stage: " + stage.label);
-      stage.fn(threads);
-    };
-    if (ready.size() == 1) {
-      run_stage(ready[0], budget);  // a lone stage keeps the whole budget
-    } else {
-      exec::ThreadPool pool(std::min(ready.size(), budget));
-      pool.parallel_for_chunks(ready.size(), 1,
-                               [&](const exec::ChunkRange& r) {
-                                 for (std::size_t i = r.begin; i < r.end; ++i) {
-                                   run_stage(ready[i], share);
-                                 }
-                               });
-    }
-  }
+  exec::parallel_for_released(
+      budget, n, order.size(),
+      [&](const exec::ChunkRange& r, const exec::Releaser& releaser) {
+        std::size_t id = 0;
+        {
+          std::lock_guard<std::mutex> lk(m);
+          id = order[r.index];
+        }
+        const Stage& stage = stages_[id];
+        {
+          obs::ScopedSpan span("pipeline.stage", stage.label);
+          if (progress) progress.message("stage: " + stage.label);
+          stage.fn(budget);
+        }
+        std::size_t ready = 0;
+        {
+          std::lock_guard<std::mutex> lk(m);
+          for (std::size_t dep : dependents[id]) {
+            if (--waiting[dep] == 0) {
+              order.push_back(dep);
+              ++ready;
+            }
+          }
+        }
+        if (ready > 0) releaser.release(ready);
+      });
 }
 
 // --- artifact adapters ------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 
+#include "finser/exec/exec.hpp"
 #include "finser/exec/thread_pool.hpp"
 #include "finser/obs/obs.hpp"
 #include "finser/spice/batch.hpp"
@@ -17,13 +18,13 @@ namespace finser::sram {
 
 namespace detail {
 
-/// One StrikeSimulator per pool worker slot, created lazily on the worker's
-/// own thread (the simulator keeps transient-analysis scratch and is not
-/// shareable across threads). Each slot lives for the whole per-voltage
-/// characterization, so with the default compiled engine every worker
-/// compiles its cell circuit exactly once and then rebinds parameters per
-/// sample — across the Qcrit bisections, the PV-sample loops and the grid
-/// stages alike (see spice/compiled.hpp).
+/// One StrikeSimulator per region worker slot, created lazily on first use
+/// (the simulator keeps transient-analysis scratch; a slot is only ever used
+/// by one running chunk at a time). Each slot lives for the whole
+/// per-voltage characterization, so with the default compiled engine every
+/// slot compiles its cell circuit exactly once and then rebinds parameters
+/// per sample — across the Qcrit bisections, the PV-sample loops and the
+/// grid stages alike (see spice/compiled.hpp).
 struct SimSlots {
   const CellDesign* design;
   double vdd_v;
@@ -36,6 +37,20 @@ struct SimSlots {
     std::unique_ptr<StrikeSimulator>& s = sims[worker];
     if (!s) s = std::make_unique<StrikeSimulator>(*design, vdd_v);
     return *s;
+  }
+
+  /// Run one stage's region with one participant per slot. A stage that
+  /// stopped early (cancel token fired) holds a partially written table —
+  /// the only safe continuation is to abandon it. Finished voltages survive
+  /// in the checkpoint; this one restarts on resume.
+  void run(std::size_t n_items, std::size_t chunk, const exec::ChunkFn& fn,
+           const exec::CancelToken* cancel) const {
+    if (!exec::parallel_for_chunks(sims.size(), n_items, chunk, fn, cancel)) {
+      throw util::Cancelled(
+          "characterization cancelled at a chunk boundary; the in-progress "
+          "voltage is discarded (finished voltages persist in the "
+          "checkpoint)");
+    }
   }
 };
 
@@ -53,16 +68,6 @@ constexpr std::uint64_t kStreamSingleBase = 1;  // which = 0..2 -> 1..3.
 constexpr std::uint64_t kStreamPairBase = 4;    // pair p = 0..2 -> 4..6.
 constexpr std::uint64_t kStreamTriple = 7;
 
-/// A parallel stage that stopped early (cancel token fired) holds a
-/// partially written table — the only safe continuation is to abandon it.
-/// Finished voltages survive in the checkpoint; this one restarts on resume.
-void require_complete(bool completed) {
-  if (!completed) {
-    throw util::Cancelled(
-        "characterization cancelled at a chunk boundary; the in-progress "
-        "voltage is discarded (finished voltages persist in the checkpoint)");
-  }
-}
 
 StrikeCharges scale_direction(const StrikeCharges& dir, double s) {
   return StrikeCharges{dir.i1_fc * s, dir.i2_fc * s, dir.i3_fc * s};
@@ -306,9 +311,9 @@ DeltaVt CellCharacterizer::sample_delta_vt(stats::Rng& rng) const {
 }
 
 SingleCdf CellCharacterizer::characterize_single(
-    exec::ThreadPool& pool, detail::SimSlots& sims, int which,
-    std::uint64_t seed, const exec::CancelToken* cancel,
-    std::size_t& attempted, std::size_t& failed) const {
+    detail::SimSlots& sims, int which, std::uint64_t seed,
+    const exec::CancelToken* cancel, std::size_t& attempted,
+    std::size_t& failed) const {
   const StrikeCharges dir = unit_direction(which);
   SingleCdf cdf;
   // The nominal bisection anchors the whole table (axis placement, binary
@@ -328,7 +333,7 @@ SingleCdf CellCharacterizer::characterize_single(
   std::vector<double> qcrit(config_.pv_samples_single);
   std::atomic<std::size_t> n_failed{0};
   if (lanes <= 1) {
-    require_complete(pool.parallel_for_chunks(
+    sims.run(
         config_.pv_samples_single, 1,
         [&](const exec::ChunkRange& r) {
           StrikeSimulator& sim = sims.at(r.worker);
@@ -345,9 +350,9 @@ SingleCdf CellCharacterizer::characterize_single(
             }
           }
         },
-        cancel));
+        cancel);
   } else {
-    require_complete(pool.parallel_for_chunks(
+    sims.run(
         config_.pv_samples_single, lanes,
         [&](const exec::ChunkRange& r) {
           StrikeSimulator& sim = sims.at(r.worker);
@@ -363,7 +368,7 @@ SingleCdf CellCharacterizer::characterize_single(
                                       qcrit.data() + r.begin, nf);
           if (nf > 0) n_failed.fetch_add(nf, std::memory_order_relaxed);
         },
-        cancel));
+        cancel);
   }
   cdf.failed_samples = n_failed.load();
   cdf.total_samples = config_.pv_samples_single - cdf.failed_samples;
@@ -431,9 +436,9 @@ util::Axis make_charge_axis(double qc_lo_fc, double qc_hi_fc, std::size_t points
 }
 
 void CellCharacterizer::characterize_pair(
-    exec::ThreadPool& pool, detail::SimSlots& sims, int a, int b,
-    const util::Axis& axis, double sigma_q_fc, std::uint64_t seed,
-    util::Grid2& pv, util::Grid2& nominal, const exec::CancelToken* cancel,
+    detail::SimSlots& sims, int a, int b, const util::Axis& axis,
+    double sigma_q_fc, std::uint64_t seed, util::Grid2& pv,
+    util::Grid2& nominal, const exec::CancelToken* cancel,
     std::size_t& attempted, std::size_t& failed) const {
   const std::size_t np = axis.size();
   const double dq = min_spacing(axis);
@@ -447,7 +452,7 @@ void CellCharacterizer::characterize_pair(
   const std::size_t lanes = spice::lane_width();
   std::vector<std::size_t> boundary(np, np);  // First flipping column, np = none.
   if (lanes <= 1) {
-    require_complete(pool.parallel_for_chunks(
+    sims.run(
         np, 1,
         [&](const exec::ChunkRange& r) {
       StrikeSimulator& sim = sims.at(r.worker);
@@ -467,9 +472,9 @@ void CellCharacterizer::characterize_pair(
         boundary[i] = lo;
       }
         },
-        cancel));
+        cancel);
   } else {
-    require_complete(pool.parallel_for_chunks(
+    sims.run(
         np, lanes,
         [&](const exec::ChunkRange& r) {
           StrikeSimulator& sim = sims.at(r.worker);
@@ -481,7 +486,7 @@ void CellCharacterizer::characterize_pair(
           std::copy(first_flip.begin(), first_flip.end(),
                     boundary.begin() + static_cast<std::ptrdiff_t>(r.begin));
         },
-        cancel));
+        cancel);
   }
 
   std::vector<double> nom_values(np * np);
@@ -521,7 +526,7 @@ void CellCharacterizer::characterize_pair(
   }
   std::atomic<std::size_t> n_failed{0};
   if (lanes <= 1) {
-    require_complete(pool.parallel_for_chunks(
+    sims.run(
         mc_cells.size(), 1,
         [&](const exec::ChunkRange& r) {
       StrikeSimulator& sim = sims.at(r.worker);
@@ -554,9 +559,9 @@ void CellCharacterizer::characterize_pair(
                                  : nom_values[cell];
       }
         },
-        cancel));
+        cancel);
   } else {
-    require_complete(pool.parallel_for_chunks(
+    sims.run(
         mc_cells.size(), lanes,
         [&](const exec::ChunkRange& r) {
           StrikeSimulator& sim = sims.at(r.worker);
@@ -584,7 +589,7 @@ void CellCharacterizer::characterize_pair(
                                         : nom_values[cell];
           }
         },
-        cancel));
+        cancel);
   }
   attempted += mc_cells.size() * config_.pv_samples_grid;
   failed += n_failed.load();
@@ -594,10 +599,10 @@ void CellCharacterizer::characterize_pair(
 }
 
 void CellCharacterizer::characterize_triple(
-    exec::ThreadPool& pool, detail::SimSlots& sims, const util::Axis& axis,
-    double sigma_q_fc, std::uint64_t seed, util::Grid3& pv,
-    util::Grid3& nominal, const exec::CancelToken* cancel,
-    std::size_t& attempted, std::size_t& failed) const {
+    detail::SimSlots& sims, const util::Axis& axis, double sigma_q_fc,
+    std::uint64_t seed, util::Grid3& pv, util::Grid3& nominal,
+    const exec::CancelToken* cancel, std::size_t& attempted,
+    std::size_t& failed) const {
   const std::size_t np = axis.size();
   const double dq = min_spacing(axis);
   const auto radius =
@@ -613,7 +618,7 @@ void CellCharacterizer::characterize_triple(
   const std::size_t lanes = spice::lane_width();
   std::vector<double> nom_values(np * np * np);
   if (lanes <= 1) {
-    require_complete(pool.parallel_for_chunks(
+    sims.run(
         np * np, 1,
         [&](const exec::ChunkRange& r) {
       StrikeSimulator& sim = sims.at(r.worker);
@@ -638,9 +643,9 @@ void CellCharacterizer::characterize_triple(
         }
       }
         },
-        cancel));
+        cancel);
   } else {
-    require_complete(pool.parallel_for_chunks(
+    sims.run(
         np * np, lanes,
         [&](const exec::ChunkRange& r) {
           StrikeSimulator& sim = sims.at(r.worker);
@@ -658,7 +663,7 @@ void CellCharacterizer::characterize_triple(
             }
           }
         },
-        cancel));
+        cancel);
   }
 
   std::vector<double> pv_values = nom_values;
@@ -694,7 +699,7 @@ void CellCharacterizer::characterize_triple(
   }
   std::atomic<std::size_t> n_failed{0};
   if (lanes <= 1) {
-    require_complete(pool.parallel_for_chunks(
+    sims.run(
         mc_cells.size(), 1,
         [&](const exec::ChunkRange& r) {
       StrikeSimulator& sim = sims.at(r.worker);
@@ -724,9 +729,9 @@ void CellCharacterizer::characterize_triple(
                                  : nom_values[cell];
       }
         },
-        cancel));
+        cancel);
   } else {
-    require_complete(pool.parallel_for_chunks(
+    sims.run(
         mc_cells.size(), lanes,
         [&](const exec::ChunkRange& r) {
           StrikeSimulator& sim = sims.at(r.worker);
@@ -753,7 +758,7 @@ void CellCharacterizer::characterize_triple(
                                         : nom_values[cell];
           }
         },
-        cancel));
+        cancel);
   }
   attempted += mc_cells.size() * config_.pv_samples_grid;
   failed += n_failed.load();
@@ -768,8 +773,7 @@ PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
   obs::ScopedSpan span("sram.characterize_voltage",
                        "sram.characterize_voltage vdd=" +
                            std::to_string(vdd_v) + "V");
-  exec::ThreadPool pool(config_.threads);
-  detail::SimSlots sims(design_, vdd_v, pool.thread_count());
+  detail::SimSlots sims(design_, vdd_v, exec::resolve_threads(config_.threads));
 
   PofTable table;
   table.vdd_v = vdd_v;
@@ -777,7 +781,7 @@ PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
 
   for (int which = 0; which < 3; ++which) {
     table.singles[static_cast<std::size_t>(which)] = characterize_single(
-        pool, sims, which,
+        sims, which,
         stats::Rng::derive_seed(seed,
                                 kStreamSingleBase + static_cast<std::uint64_t>(which)),
         cancel, table.attempted_samples, table.failed_samples);
@@ -815,7 +819,7 @@ PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
   const int pair_ids[3][2] = {{0, 1}, {0, 2}, {1, 2}};
   for (int p = 0; p < 3; ++p) {
     characterize_pair(
-        pool, sims, pair_ids[p][0], pair_ids[p][1], pair_axis, sigma_q,
+        sims, pair_ids[p][0], pair_ids[p][1], pair_axis, sigma_q,
         stats::Rng::derive_seed(seed,
                                 kStreamPairBase + static_cast<std::uint64_t>(p)),
         table.pairs_pv[static_cast<std::size_t>(p)],
@@ -824,7 +828,7 @@ PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
   }
   if (progress) progress.message("vdd=" + std::to_string(vdd_v) + ": pair grids done");
 
-  characterize_triple(pool, sims, triple_axis, sigma_q,
+  characterize_triple(sims, triple_axis, sigma_q,
                       stats::Rng::derive_seed(seed, kStreamTriple),
                       table.triple_pv, table.triple_nominal, cancel,
                       table.attempted_samples, table.failed_samples);
@@ -870,12 +874,11 @@ CellSoftErrorModel CellCharacterizer::characterize(
   }
 
   // Checkpointable campaign: the unit of work is one (sorted) supply
-  // voltage; its blob is the serialized PofTable. The outer pool is serial —
-  // characterize_at parallelizes internally — so run_units only sequences
-  // the voltages, skips restored ones, and flushes after finished ones.
-  exec::ThreadPool outer(1);
+  // voltage; its blob is the serialized PofTable. The voltages run one at
+  // a time — characterize_at parallelizes internally — so run_units only
+  // sequences them, skips restored ones, and flushes after finished ones.
   const ckpt::UnitRunResult units = ckpt::run_units(
-      outer, vdds.size(), model.config_fingerprint, run,
+      1, vdds.size(), model.config_fingerprint, run,
       [&](const exec::ChunkRange& u) {
         const PofTable t = characterize_at(
             vdds[u.index], stats::Rng::derive_seed(config_.seed, u.index),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 
 #include "finser/obs/obs.hpp"
 #include "finser/spice/dc.hpp"
@@ -353,33 +354,56 @@ void ClusterPofSurface::flip_count_distribution(
     key.push_back(std::llround(c.charges.i3_fc / config_.quantum_fc));
   }
 
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = memo_.find(key);
-  if (it != memo_.end()) {
-    FINSER_OBS_COUNT("sram.cluster.surface_hit", 1);
-    out = it->second;
-    return;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (auto it = memo_.find(key); it != memo_.end(); it = memo_.find(key)) {
+    if (it->second.ready) {
+      FINSER_OBS_COUNT("sram.cluster.surface_hit", 1);
+      out = it->second.dist;
+      return;
+    }
+    ready_cv_.wait(lock);  // Another thread is simulating this key.
   }
   FINSER_OBS_COUNT("sram.cluster.surface_miss", 1);
-  out = evaluate_locked(key, vdd_v, with_pv, cells);
-}
-
-ClusterSimulator& ClusterPofSurface::simulator_locked(double vdd_v) {
-  const std::int64_t key = std::llround(vdd_v * 1e6);
-  auto it = sims_.find(key);
-  if (it == sims_.end()) {
-    it = sims_
-             .emplace(key, std::make_unique<ClusterSimulator>(
-                               design_, vdd_v, tile_rows(), tile_cols()))
-             .first;
+  memo_.emplace(key, Entry{});
+  const std::int64_t vdd_uv = key[0];
+  std::vector<std::unique_ptr<ClusterSimulator>>& idle = idle_sims_[vdd_uv];
+  std::unique_ptr<ClusterSimulator> sim;
+  if (!idle.empty()) {
+    sim = std::move(idle.back());
+    idle.pop_back();
   }
-  return *it->second;
+  lock.unlock();
+
+  std::vector<double> dist;
+  std::exception_ptr error;
+  try {
+    if (!sim) {
+      sim = std::make_unique<ClusterSimulator>(design_, vdd_v, tile_rows(),
+                                               tile_cols());
+    }
+    dist = evaluate(key, with_pv, cells, *sim);
+  } catch (...) {
+    error = std::current_exception();
+  }
+
+  lock.lock();
+  if (sim) idle_sims_[vdd_uv].push_back(std::move(sim));
+  if (error) {
+    // Nothing is memoized for a failed key: waiters retry it themselves.
+    memo_.erase(key);
+  } else {
+    Entry& entry = memo_.at(key);
+    entry.dist = std::move(dist);
+    entry.ready = true;
+    out = entry.dist;
+  }
+  ready_cv_.notify_all();
+  if (error) std::rethrow_exception(error);
 }
 
-const std::vector<double>& ClusterPofSurface::evaluate_locked(
-    const Key& key, double vdd_v, bool with_pv,
-    const std::vector<CellCharge>& cells) {
-  ClusterSimulator& sim = simulator_locked(vdd_v);
+std::vector<double> ClusterPofSurface::evaluate(
+    const Key& key, bool with_pv, const std::vector<CellCharge>& cells,
+    ClusterSimulator& sim) const {
   const std::size_t n = cells.size();
   const std::size_t tile_cells = sim.cell_count();
 
@@ -484,12 +508,14 @@ const std::vector<double>& ClusterPofSurface::evaluate_locked(
   for (std::size_t k = 0; k <= n; ++k) {
     dist[k] = counts[k] / static_cast<double>(successes);
   }
-  return memo_.emplace(key, std::move(dist)).first->second;
+  return dist;
 }
 
 std::size_t ClusterPofSurface::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return memo_.size();
+  return static_cast<std::size_t>(
+      std::count_if(memo_.begin(), memo_.end(),
+                    [](const auto& kv) { return kv.second.ready; }));
 }
 
 std::uint64_t ClusterPofSurface::fingerprint(
@@ -507,11 +533,14 @@ std::uint64_t ClusterPofSurface::fingerprint(
 std::vector<std::uint8_t> ClusterPofSurface::encode() const {
   std::lock_guard<std::mutex> lock(mu_);
   util::ByteWriter w;
-  w.u64(memo_.size());
-  for (const auto& [key, dist] : memo_) {
+  w.u64(static_cast<std::uint64_t>(
+      std::count_if(memo_.begin(), memo_.end(),
+                    [](const auto& kv) { return kv.second.ready; })));
+  for (const auto& [key, entry] : memo_) {
+    if (!entry.ready) continue;
     w.u64(key.size());
     for (const std::int64_t v : key) w.u64(static_cast<std::uint64_t>(v));
-    w.f64_vec(dist);
+    w.f64_vec(entry.dist);
   }
   return w.take();
 }
@@ -538,7 +567,9 @@ std::size_t ClusterPofSurface::decode_merge(
     }
     // Values are pure functions of keys: any entry already present is
     // necessarily identical, so first-in wins without comparison.
-    if (memo_.emplace(std::move(key), std::move(dist)).second) ++absorbed;
+    if (memo_.emplace(std::move(key), Entry{std::move(dist), true}).second) {
+      ++absorbed;
+    }
   }
   return absorbed;
 }

@@ -147,10 +147,10 @@ std::vector<std::uint8_t> unit_blob(std::size_t index) {
 }
 
 TEST(RunUnits, ComputesEverythingWhenInactive) {
-  exec::ThreadPool pool(2);
+  const std::size_t threads = 2;
   std::atomic<std::size_t> computed{0};
   const UnitRunResult out =
-      run_units(pool, 8, /*fingerprint=*/123, RunOptions{},
+      run_units(threads, 8, /*fingerprint=*/123, RunOptions{},
                 [&](const exec::ChunkRange& u) {
                   ++computed;
                   return unit_blob(u.index);
@@ -176,10 +176,10 @@ TEST(RunUnits, ResumesFromExistingCheckpoint) {
   run.checkpoint_path = file.path;
   run.checkpoint_interval_sec = 0.0;
 
-  exec::ThreadPool pool(1);
+  const std::size_t threads = 1;
   std::vector<std::size_t> computed;
   const UnitRunResult out =
-      run_units(pool, 5, kFp, run, [&](const exec::ChunkRange& u) {
+      run_units(threads, 5, kFp, run, [&](const exec::ChunkRange& u) {
         computed.push_back(u.index);
         return unit_blob(u.index);
       });
@@ -205,10 +205,10 @@ TEST(RunUnits, DiscardsMismatchedCheckpoint) {
   run.checkpoint_path = file.path;
   run.checkpoint_interval_sec = 0.0;
 
-  exec::ThreadPool pool(1);
+  const std::size_t threads = 1;
   std::atomic<std::size_t> computed{0};
   const UnitRunResult out =
-      run_units(pool, 4, /*fingerprint=*/222, run,
+      run_units(threads, 4, /*fingerprint=*/222, run,
                 [&](const exec::ChunkRange& u) {
                   ++computed;
                   return unit_blob(u.index);
@@ -229,10 +229,10 @@ TEST(RunUnits, CancelFlushesCheckpointAndResumeCompletes) {
   exec::CancelToken token;
   run.cancel = &token;
 
-  exec::ThreadPool pool(1);
+  const std::size_t threads = 1;
   std::size_t before_cancel = 0;
   try {
-    run_units(pool, kUnits, kFp, run, [&](const exec::ChunkRange& u) {
+    run_units(threads, kUnits, kFp, run, [&](const exec::ChunkRange& u) {
       ++before_cancel;
       if (u.index == 1) token.cancel();  // Fire mid-run, at a unit boundary.
       return unit_blob(u.index);
@@ -255,7 +255,7 @@ TEST(RunUnits, CancelFlushesCheckpointAndResumeCompletes) {
   run.cancel = nullptr;
   std::atomic<std::size_t> resumed{0};
   const UnitRunResult out =
-      run_units(pool, kUnits, kFp, run, [&](const exec::ChunkRange& u) {
+      run_units(threads, kUnits, kFp, run, [&](const exec::ChunkRange& u) {
         ++resumed;
         return unit_blob(u.index);
       });
@@ -285,11 +285,11 @@ TEST(RoundBoundaries, GeometricScheduleEndsAtUnitCount) {
 }
 
 TEST(RunUnitsAdaptive, StopsAtFirstConvergedBoundary) {
-  exec::ThreadPool pool(2);
+  const std::size_t threads = 2;
   std::atomic<std::size_t> computed{0};
   const AdaptiveSchedule sched{2, 2.0};  // Boundaries 2, 4, 8, 12.
   const UnitRunResult out = run_units_adaptive(
-      pool, 12, /*fingerprint=*/5, RunOptions{}, sched,
+      threads, 12, /*fingerprint=*/5, RunOptions{}, sched,
       [&](const exec::ChunkRange& u) {
         ++computed;
         return unit_blob(u.index);
@@ -305,9 +305,9 @@ TEST(RunUnitsAdaptive, StopsAtFirstConvergedBoundary) {
 }
 
 TEST(RunUnitsAdaptive, NeverConvergedRunsEveryUnit) {
-  exec::ThreadPool pool(2);
+  const std::size_t threads = 2;
   const UnitRunResult out = run_units_adaptive(
-      pool, 10, /*fingerprint=*/6, RunOptions{}, AdaptiveSchedule{2, 2.0},
+      threads, 10, /*fingerprint=*/6, RunOptions{}, AdaptiveSchedule{2, 2.0},
       [](const exec::ChunkRange& u) { return unit_blob(u.index); },
       [](std::size_t, const std::vector<std::vector<std::uint8_t>>&) {
         return false;
@@ -318,10 +318,10 @@ TEST(RunUnitsAdaptive, NeverConvergedRunsEveryUnit) {
 }
 
 TEST(RunUnitsAdaptive, PredicateSeesOnlyTheCompletedPrefixInOrder) {
-  exec::ThreadPool pool(4);
+  const std::size_t threads = 4;
   std::vector<std::size_t> decision_points;
   run_units_adaptive(
-      pool, 20, /*fingerprint=*/7, RunOptions{}, AdaptiveSchedule{4, 2.0},
+      threads, 20, /*fingerprint=*/7, RunOptions{}, AdaptiveSchedule{4, 2.0},
       [](const exec::ChunkRange& u) { return unit_blob(u.index); },
       [&](std::size_t done,
           const std::vector<std::vector<std::uint8_t>>& blobs) {
@@ -361,9 +361,9 @@ TEST(RunUnitsAdaptive, ResumeReplaysTheSameStoppingDecision) {
   exec::CancelToken token;
   run.cancel = &token;
 
-  exec::ThreadPool pool(1);
+  const std::size_t threads = 1;
   try {
-    run_units_adaptive(pool, kUnits, kFp, run, sched,
+    run_units_adaptive(threads, kUnits, kFp, run, sched,
                        [&](const exec::ChunkRange& u) {
                          if (u.index == 5) token.cancel();  // Mid round 3.
                          return unit_blob(u.index);
@@ -384,7 +384,7 @@ TEST(RunUnitsAdaptive, ResumeReplaysTheSameStoppingDecision) {
   run.cancel = nullptr;
   std::vector<std::size_t> recomputed;
   const UnitRunResult out = run_units_adaptive(
-      pool, kUnits, kFp, run,
+      threads, kUnits, kFp, run,
       sched,
       [&](const exec::ChunkRange& u) {
         recomputed.push_back(u.index);
@@ -403,10 +403,10 @@ TEST(RunUnitsAdaptive, ResumeReplaysTheSameStoppingDecision) {
 }
 
 TEST(RunUnitsAdaptive, RequiresAPredicate) {
-  exec::ThreadPool pool(1);
+  const std::size_t threads = 1;
   EXPECT_THROW(
       run_units_adaptive(
-          pool, 4, 1, RunOptions{}, AdaptiveSchedule{},
+          threads, 4, 1, RunOptions{}, AdaptiveSchedule{},
           [](const exec::ChunkRange& u) { return unit_blob(u.index); },
           ConvergedFn{}),
       util::InvalidArgument);

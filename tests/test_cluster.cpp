@@ -11,6 +11,7 @@
 #include <cmath>
 #include <numbers>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "finser/core/array_mc.hpp"
@@ -303,6 +304,58 @@ TEST(ClusterPofSurface, MemoizesAndRepeatsExactly) {
   double sum = 0.0;
   for (double v : first) sum += v;
   EXPECT_NEAR(sum, 1.0, 1e-12);
+}
+
+TEST(ClusterPofSurface, ConcurrentQueriesSimulateEachKeyOnce) {
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  const CellDesign design;
+  ClusterConfig cc;
+  cc.mode = ClusterMode::k2x2;
+  cc.pv_samples = 3;
+  ClusterPofSurface surf(design, cc);
+  obs::Registry& reg = obs::Registry::global();
+
+  // Eight threads ask for one key at once: one simulates it, the others
+  // wait for it and count as hits.
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::vector<double>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      surf.flip_count_distribution(kVdd, true, two_cell_query(0.2, 0.05),
+                                   got[t]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(reg.counter("sram.cluster.sims").total(), cc.pv_samples);
+  EXPECT_EQ(reg.counter("sram.cluster.surface_miss").total(), 1u);
+  EXPECT_EQ(reg.counter("sram.cluster.surface_hit").total(), kThreads - 1);
+  for (const auto& g : got) EXPECT_EQ(g, got[0]);
+
+  // Distinct keys simulate side by side, each on its own simulator, and
+  // agree bit-for-bit with a fresh single-threaded surface.
+  const auto query_of = [](std::size_t t) {
+    return two_cell_query(0.11 + 0.02 * static_cast<double>(t), 0.05);
+  };
+  threads.clear();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      surf.flip_count_distribution(kVdd, true, query_of(t), got[t]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(reg.counter("sram.cluster.sims").total(),
+            (kThreads + 1) * cc.pv_samples);
+  EXPECT_EQ(surf.size(), kThreads + 1);
+  ClusterPofSurface serial(design, cc);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    std::vector<double> want;
+    serial.flip_count_distribution(kVdd, true, query_of(t), want);
+    EXPECT_EQ(got[t], want) << "key " << t;
+  }
+  obs::set_enabled(false);
+  obs::Registry::global().reset();
 }
 
 TEST(ClusterPofSurface, QuantizationSnapsNearbyQueries) {

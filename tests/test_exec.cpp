@@ -62,16 +62,14 @@ TEST(ExecConfig, MalformedEnvIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool
+// ThreadPool: regions on the shared process-lifetime pool
 // ---------------------------------------------------------------------------
 
 TEST(ThreadPool, CoversEveryItemExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
   const std::size_t n = 1237;  // Deliberately not a multiple of the chunk.
   std::vector<std::atomic<int>> hits(n);
-  pool.parallel_for_chunks(n, 64, [&](const ChunkRange& r) {
-    EXPECT_LT(r.worker, pool.thread_count());
+  parallel_for_chunks(4, n, 64, [&](const ChunkRange& r) {
+    EXPECT_LT(r.worker, 4u);
     for (std::size_t i = r.begin; i < r.end; ++i) hits[i].fetch_add(1);
   });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
@@ -79,10 +77,9 @@ TEST(ThreadPool, CoversEveryItemExactlyOnce) {
 
 TEST(ThreadPool, ChunkDecompositionIsThreadCountInvariant) {
   auto ranges_with = [](std::size_t threads) {
-    ThreadPool pool(threads);
     std::mutex mu;
     std::vector<std::array<std::size_t, 3>> out;
-    pool.parallel_for_chunks(1000, 96, [&](const ChunkRange& r) {
+    parallel_for_chunks(threads, 1000, 96, [&](const ChunkRange& r) {
       std::lock_guard<std::mutex> lock(mu);
       out.push_back({r.index, r.begin, r.end});
     });
@@ -93,47 +90,148 @@ TEST(ThreadPool, ChunkDecompositionIsThreadCountInvariant) {
 }
 
 TEST(ThreadPool, EmptyRegionIsNoOp) {
-  ThreadPool pool(3);
   bool called = false;
-  pool.parallel_for_chunks(0, 16, [&](const ChunkRange&) { called = true; });
+  parallel_for_chunks(3, 0, 16, [&](const ChunkRange&) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ThreadPool, SingleThreadRunsInline) {
-  ThreadPool pool(1);
   const auto caller = std::this_thread::get_id();
-  pool.parallel_for_chunks(10, 3, [&](const ChunkRange& r) {
+  parallel_for_chunks(1, 10, 3, [&](const ChunkRange& r) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
     EXPECT_EQ(r.worker, 0u);
   });
 }
 
 TEST(ThreadPool, PropagatesFirstException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for_chunks(100, 1,
-                               [](const ChunkRange& r) {
-                                 if (r.index == 17)
-                                   throw std::runtime_error("chunk 17");
-                               }),
-      std::runtime_error);
+  EXPECT_THROW(parallel_for_chunks(4, 100, 1,
+                                   [](const ChunkRange& r) {
+                                     if (r.index == 17)
+                                       throw std::runtime_error("chunk 17");
+                                   }),
+               std::runtime_error);
   // The pool survives the exception and runs subsequent regions.
   std::atomic<std::size_t> count{0};
-  pool.parallel_for_chunks(50, 5, [&](const ChunkRange&) { ++count; });
+  parallel_for_chunks(4, 50, 5, [&](const ChunkRange&) { ++count; });
   EXPECT_EQ(count.load(), 10u);
 }
 
 TEST(ThreadPool, ReusableAcrossRegions) {
-  ThreadPool pool(2);
   std::atomic<long> sum{0};
   for (int round = 0; round < 20; ++round) {
-    pool.parallel_for_chunks(100, 7, [&](const ChunkRange& r) {
+    parallel_for_chunks(2, 100, 7, [&](const ChunkRange& r) {
       for (std::size_t i = r.begin; i < r.end; ++i) {
         sum.fetch_add(static_cast<long>(i));
       }
     });
   }
   EXPECT_EQ(sum.load(), 20L * (99L * 100L / 2L));
+}
+
+TEST(ThreadPool, NestedRegionFromInsideAChunkCompletes) {
+  std::vector<std::atomic<int>> hits(8 * 100);
+  parallel_for_chunks(4, 8, 1, [&](const ChunkRange& outer) {
+    parallel_for_chunks(4, 100, 3, [&](const ChunkRange& inner) {
+      EXPECT_LT(inner.worker, 4u);
+      for (std::size_t i = inner.begin; i < inner.end; ++i) {
+        hits[outer.index * 100 + i].fetch_add(1);
+      }
+    });
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << i;
+  }
+}
+
+TEST(ThreadPool, TwoThreadsSubmitRegionsConcurrently) {
+  std::atomic<long> sums[2] = {{0}, {0}};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 2; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int round = 0; round < 25; ++round) {
+        parallel_for_chunks(3, 200, 9, [&](const ChunkRange& r) {
+          for (std::size_t i = r.begin; i < r.end; ++i) {
+            sums[t].fetch_add(static_cast<long>(i));
+          }
+        });
+      }
+    });
+  }
+  for (std::thread& s : submitters) s.join();
+  for (const auto& sum : sums) EXPECT_EQ(sum.load(), 25L * (199L * 200L / 2L));
+}
+
+TEST(ThreadPool, NestedExceptionAndCancelReachTheirCaller) {
+  // An exception in a nested region surfaces from that region's call and,
+  // unhandled, aborts the outer region too.
+  std::atomic<int> caught{0};
+  parallel_for_chunks(4, 4, 1, [&](const ChunkRange&) {
+    try {
+      parallel_for_chunks(4, 50, 1, [](const ChunkRange& r) {
+        if (r.index == 7) throw std::runtime_error("inner 7");
+      });
+    } catch (const std::runtime_error&) {
+      ++caught;
+    }
+  });
+  EXPECT_EQ(caught.load(), 4);
+  EXPECT_THROW(parallel_for_chunks(4, 4, 1,
+                                   [](const ChunkRange&) {
+                                     parallel_for_chunks(
+                                         4, 10, 1, [](const ChunkRange& r) {
+                                           if (r.index == 3)
+                                             throw std::logic_error("deep");
+                                         });
+                                   }),
+               std::logic_error);
+
+  // A cancel fired inside a nested region stops that region (its call
+  // returns false) without disturbing the outer one.
+  std::atomic<int> cancelled{0};
+  parallel_for_chunks(4, 3, 1, [&](const ChunkRange&) {
+    CancelToken token;
+    const bool done = parallel_for_chunks(
+        4, 1000, 1, [&](const ChunkRange&) { token.cancel(); }, &token);
+    if (!done) ++cancelled;
+  });
+  EXPECT_EQ(cancelled.load(), 3);
+}
+
+TEST(ThreadPool, WorkerSlotIsUniqueAmongRunningChunks) {
+  // Slots index per-worker scratch without locks: no two running chunks of
+  // one region may share one, even while other regions run beside it.
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::thread> submitters;
+  std::atomic<bool> clash{false};
+  for (int t = 0; t < 2; ++t) {
+    submitters.emplace_back([&] {
+      std::array<std::atomic<int>, kThreads> busy{};
+      parallel_for_chunks(kThreads, 400, 1, [&](const ChunkRange& r) {
+        ASSERT_LT(r.worker, kThreads);
+        if (busy[r.worker].fetch_add(1) != 0) clash = true;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        busy[r.worker].fetch_sub(1);
+      });
+    });
+  }
+  for (std::thread& s : submitters) s.join();
+  EXPECT_FALSE(clash.load());
+}
+
+TEST(ThreadPool, ReleasedChunksRunInReleaseOrder) {
+  // Chunk k may run only after k releases; each chunk releases the next.
+  std::atomic<std::size_t> done{0};
+  parallel_for_released(
+      4, 20, 1, [&](const ChunkRange& r, const Releaser& releaser) {
+        EXPECT_EQ(done.load(), r.index);
+        ++done;
+        releaser.release();
+      });
+  EXPECT_EQ(done.load(), 20u);
+  // A region that never releases its tail fails instead of hanging.
+  EXPECT_THROW(parallel_for_released(4, 3, 1,
+                                     [](const ChunkRange&, const Releaser&) {}),
+               util::LogicError);
 }
 
 // ---------------------------------------------------------------------------
@@ -152,20 +250,18 @@ TEST(CancelToken, SetResetHandshake) {
 }
 
 TEST(ThreadPool, NullCancelTokenRunsEverything) {
-  ThreadPool pool(3);
   std::atomic<std::size_t> ran{0};
-  const bool completed = pool.parallel_for_chunks(
-      100, 4, [&](const ChunkRange&) { ++ran; }, nullptr);
+  const bool completed = parallel_for_chunks(
+      3, 100, 4, [&](const ChunkRange&) { ++ran; }, nullptr);
   EXPECT_TRUE(completed);
   EXPECT_EQ(ran.load(), 25u);
 }
 
 TEST(ThreadPool, CancelStopsAtChunkBoundary) {
-  ThreadPool pool(4);
   CancelToken token;
   std::atomic<std::size_t> ran{0};
-  const bool completed = pool.parallel_for_chunks(
-      1000, 1,
+  const bool completed = parallel_for_chunks(
+      4, 1000, 1,
       [&](const ChunkRange&) {
         ++ran;
         token.cancel();  // Fired from inside the first executing chunks.
@@ -179,15 +275,15 @@ TEST(ThreadPool, CancelStopsAtChunkBoundary) {
 
   // An already-cancelled token stops the region before any chunk runs.
   std::atomic<std::size_t> ran2{0};
-  EXPECT_FALSE(pool.parallel_for_chunks(
-      100, 1, [&](const ChunkRange&) { ++ran2; }, &token));
+  EXPECT_FALSE(parallel_for_chunks(
+      4, 100, 1, [&](const ChunkRange&) { ++ran2; }, &token));
   EXPECT_EQ(ran2.load(), 0u);
 
-  // After a reset the same pool and token run a full region again.
+  // After a reset the same token runs a full region again.
   token.reset();
   std::atomic<std::size_t> ran3{0};
-  EXPECT_TRUE(pool.parallel_for_chunks(
-      100, 1, [&](const ChunkRange&) { ++ran3; }, &token));
+  EXPECT_TRUE(parallel_for_chunks(
+      4, 100, 1, [&](const ChunkRange&) { ++ran3; }, &token));
   EXPECT_EQ(ran3.load(), 100u);
 }
 
@@ -247,9 +343,8 @@ TEST(Reduce, PairwiseMatchesFold) {
 }
 
 TEST(Reduce, ParallelReduceSumsItems) {
-  ThreadPool pool(4);
   const auto got = parallel_reduce<long>(
-      pool, 5000, 128,
+      4, 5000, 128,
       [](const ChunkRange& r) {
         long s = 0;
         for (std::size_t i = r.begin; i < r.end; ++i) {
@@ -260,7 +355,7 @@ TEST(Reduce, ParallelReduceSumsItems) {
       [](long a, long b) { return a + b; });
   EXPECT_EQ(got, 4999L * 5000L / 2L);
   EXPECT_THROW((parallel_reduce<long>(
-                   pool, 0, 16, [](const ChunkRange&) { return 0L; },
+                   4, 0, 16, [](const ChunkRange&) { return 0L; },
                    [](long a, long b) { return a + b; })),
                util::InvalidArgument);
 }
@@ -310,9 +405,8 @@ TEST(Progress, CountsTicksFromManyThreads) {
       },
       std::chrono::milliseconds(0));
   sink.start_phase("strikes", 1000);
-  ThreadPool pool(4);
-  pool.parallel_for_chunks(1000, 10,
-                           [&](const ChunkRange& r) { sink.tick(r.end - r.begin); });
+  parallel_for_chunks(4, 1000, 10,
+                      [&](const ChunkRange& r) { sink.tick(r.end - r.begin); });
   EXPECT_EQ(sink.completed(), 1000u);
   // The final line is always emitted, whatever the throttle swallowed.
   ASSERT_FALSE(lines.empty());

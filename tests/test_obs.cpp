@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <initializer_list>
 #include <thread>
 
 #include "finser/core/array_mc.hpp"
@@ -196,6 +197,51 @@ TEST_F(ObsTest, RunReportValidatesAndRoundTrips) {
   broken["schema"] = "not.a.run.report";
   EXPECT_NE(validate_run_report(broken), "");
   EXPECT_NE(validate_run_report(util::JsonValue::parse("{}")), "");
+}
+
+TEST_F(ObsTest, DerivedRatesMatchReportSpansAndCounters) {
+  // Every event path: scalar and lane-batched transients, array and neutron
+  // MC and the device-level fin MC.
+  Registry& reg = Registry::global();
+  reg.counter("spice.tran.runs").add(900);
+  reg.duration("spice.tran.run").record_ns(1'000'000'000);
+  reg.duration("spice.tran.run_batch").record_ns(2'000'000'000);
+  reg.counter("core.array_mc.strikes").add(3000);
+  reg.counter("core.neutron_mc.histories").add(500);
+  reg.counter("phys.fin_mc.samples").add(200);
+  reg.duration("core.array_mc.run").record_ns(2'000'000'000);
+  reg.duration("core.neutron_mc.run").record_ns(500'000'000);
+  reg.duration("phys.fin_mc.run").record_ns(500'000'000);
+
+  const util::JsonValue doc = build_run_report(reg.snapshot(), RunInfo{});
+  const util::JsonValue& counters = doc.at("metrics").at("counters");
+  const util::JsonValue& spans = doc.at("timing").at("spans");
+  const util::JsonValue& derived = doc.at("timing").at("derived");
+  const auto count = [&](const char* name) {
+    return static_cast<double>(counters.at(name).as_uint());
+  };
+  const auto busy = [&](std::initializer_list<const char*> names) {
+    double total = 0.0;
+    for (const char* name : names) {
+      total += spans.at(name).at("total_s").as_double();
+    }
+    return total;
+  };
+
+  const double particles = count("core.array_mc.strikes") +
+                           count("core.neutron_mc.histories") +
+                           count("phys.fin_mc.samples");
+  EXPECT_EQ(derived.at("particles").as_uint(), 3700u);
+  EXPECT_DOUBLE_EQ(derived.at("particles_per_second").as_double(),
+                   particles / busy({"core.array_mc.run",
+                                     "core.neutron_mc.run",
+                                     "phys.fin_mc.run"}));
+  EXPECT_DOUBLE_EQ(derived.at("transients_per_second").as_double(),
+                   count("spice.tran.runs") /
+                       busy({"spice.tran.run", "spice.tran.run_batch"}));
+  EXPECT_DOUBLE_EQ(derived.at("transients_per_second").as_double(), 300.0);
+  // A new derived rate must be recomputed here too.
+  EXPECT_EQ(derived.size(), 3u);
 }
 
 // ---------------------------------------------------------------------------

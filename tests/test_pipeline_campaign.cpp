@@ -6,12 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <mutex>
+#include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "finser/exec/thread_pool.hpp"
 #include "finser/obs/obs.hpp"
 #include "finser/pipeline/campaign.hpp"
 #include "finser/util/error.hpp"
@@ -219,7 +227,52 @@ TEST(StageGraph, StageThreadShareIsPositiveAndBounded) {
   }
   graph.run(2);
   ASSERT_EQ(shares.size(), 5u);
-  for (std::size_t s : shares) EXPECT_GE(s, 1u);
+  for (std::size_t s : shares) {
+    EXPECT_GE(s, 1u);
+    EXPECT_EQ(s, 2u);  // every stage's regions are capped at the budget
+  }
+}
+
+TEST(StageGraph, DependentStartsBeforeUnrelatedSiblingFinishes) {
+  // "c" depends only on "a"; "b" is a sibling of "a" that blocks until "c"
+  // has started. A wave scheduler would hold "c" until "b" finished.
+  StageGraph graph;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool c_started = false;
+  bool b_saw_c = false;
+  const std::size_t a = graph.add("a", {}, [](std::size_t) {});
+  graph.add("b", {}, [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    b_saw_c = cv.wait_for(lock, std::chrono::seconds(30),
+                          [&] { return c_started; });
+  });
+  graph.add("c", {a}, [&](std::size_t) {
+    const std::lock_guard<std::mutex> lock(mu);
+    c_started = true;
+    cv.notify_all();
+  });
+  graph.run(3);
+  EXPECT_TRUE(b_saw_c);
+}
+
+TEST(StageGraph, ParallelStageBesideSleepingSerialStageSeesManySlots) {
+  // The serial stage's idle threads must flow into its sibling's region.
+  StageGraph graph;
+  std::mutex mu;
+  std::set<std::size_t> slots;
+  graph.add("serial", {}, [](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  });
+  graph.add("parallel", {}, [&](std::size_t threads) {
+    exec::parallel_for_chunks(threads, 64, 1, [&](const exec::ChunkRange& r) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const std::lock_guard<std::mutex> lock(mu);
+      slots.insert(r.worker);
+    });
+  });
+  graph.run(4);
+  EXPECT_GT(slots.size(), 1u);
 }
 
 TEST(StageGraph, ExceptionsPropagate) {
@@ -421,6 +474,58 @@ TEST(CampaignFingerprint, InvariantToExecutionKnobs) {
   CampaignSpec edited = spec;
   edited.scenarios[0].flow.array_mc.strikes += 1;
   EXPECT_NE(campaign_fingerprint(edited), base);
+}
+
+/// Three scenarios sharing one cell model write byte-identical CSVs at any
+/// thread budget: stages overlap differently, bytes never change.
+TEST(CampaignRunner, SharedModelCampaignCsvsAreThreadCountInvariant) {
+  CampaignSpec spec;
+  spec.name = "threads-test";
+  const sram::DataPattern patterns[3] = {sram::DataPattern::kCheckerboard,
+                                         sram::DataPattern::kAllOnes,
+                                         sram::DataPattern::kAllZeros};
+  for (int i = 0; i < 3; ++i) {
+    ScenarioSpec s;
+    s.name = "s" + std::to_string(i);
+    s.species = {"alpha", "proton"};
+    s.flow = tiny_flow();
+    s.flow.pattern = patterns[i];
+    spec.scenarios.push_back(std::move(s));
+  }
+
+  const auto csvs_at = [&](std::size_t threads) {
+    const std::string name =
+        "finser_campaign_threads_" + std::to_string(threads);
+    const std::string out = temp_dir(name.c_str());
+    std::filesystem::remove_all(out);
+    CampaignSpec run_spec = spec;
+    run_spec.output_dir = out;
+    run_spec.threads = threads;
+    CampaignRunner(std::move(run_spec)).run();
+    std::map<std::string, std::string> files;
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(out)) {
+      if (!entry.is_regular_file()) continue;
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::ostringstream bytes;
+      bytes << in.rdbuf();
+      files[std::filesystem::relative(entry.path(), out).string()] =
+          bytes.str();
+    }
+    std::filesystem::remove_all(out);
+    return files;
+  };
+
+  const std::map<std::string, std::string> reference = csvs_at(1);
+  // 3 × (pof_alpha, pof_proton, fit_summary) + 2 device LUT tables.
+  EXPECT_EQ(reference.size(), 11u);
+  for (const std::size_t threads : {2, 4, 7}) {
+    const std::map<std::string, std::string> got = csvs_at(threads);
+    ASSERT_EQ(got.size(), reference.size()) << "threads " << threads;
+    for (const auto& [name, bytes] : reference) {
+      EXPECT_EQ(got.at(name), bytes) << name << " at threads " << threads;
+    }
+  }
 }
 
 /// Scenario outputs land in per-scenario directories with the CLI's CSV
