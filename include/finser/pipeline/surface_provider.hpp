@@ -17,9 +17,15 @@
 /// budget — which also means one refinement answers every queued request
 /// touching that scenario, and the numbers match the batch pipeline
 /// byte-for-byte because they come from the identical code path.
+///
+/// lookup() and refine() may run on different threads (serve answers hits
+/// on its loop thread while a background thread refines misses): the memory
+/// map is guarded by a mutex, and a cached surface is never replaced, so a
+/// pointer handed out stays valid and unchanged.
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -63,13 +69,14 @@ class SurfaceProvider {
   /// Cache-only lookup: memory, then the `response_surface` artifact kind.
   /// Never simulates. Returns nullptr on a miss; pointers stay valid for
   /// the provider's lifetime. Counts "surface.memory_hits" /
-  /// "surface.artifact_hits".
+  /// "surface.artifact_hits". Safe to call while refine() runs on another
+  /// thread.
   const surface::ResponseSurface* lookup(const std::string& scenario,
                                          const std::string& species);
 
   /// Refinement: run the scenario's full species list through a
   /// single-scenario CampaignRunner (counts "surface.builds"), cache every
-  /// resulting surface, and return the requested one. Throws
+  /// resulting surface not cached yet, and return the requested one. Throws
   /// util::Cancelled on cooperative cancellation, util::InvalidArgument for
   /// unknown names.
   const surface::ResponseSurface* refine(const std::string& scenario,
@@ -86,8 +93,11 @@ class SurfaceProvider {
   exec::ProgressSink progress_;
   ckpt::RunOptions run_;
   std::optional<ArtifactStore> store_;
+  /// Guards cache_ (lookup and refine run on different threads in serve).
+  std::mutex cache_mu_;
   /// (scenario, species) → surface; node-stable so lookup() pointers
-  /// survive later insertions.
+  /// survive later insertions, and first-writer-wins so they are never
+  /// overwritten.
   std::map<std::pair<std::string, std::string>, surface::ResponseSurface>
       cache_;
 };

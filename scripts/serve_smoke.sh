@@ -17,6 +17,8 @@
 #      files in the artifact store.
 #   5. Malformed input degrades (exit 6) without stopping the loop, and
 #      `artifacts ls` reads the store without mutating it.
+#   6. A large warm burst far over --max-pending is answered in full: cache
+#      hits never count against the bound, so nothing is shed.
 #
 # Usage: scripts/serve_smoke.sh [build-dir]   (default: build)
 
@@ -178,6 +180,29 @@ grep -q '"op":"shutdown"' "$WORK/bad.out" ||
 grep -q "response_surface" "$WORK/ls.out" ||
   fail "artifacts ls did not list the response_surface entry"
 grep -q " 0 bad)" "$WORK/ls.out" || fail "artifacts ls found bad entries"
+
+# --- phase 6: large warm burst at the default --max-pending -----------------
+echo "=== phase 6: warm burst"
+BURST=5000
+for i in $(seq 1 "$BURST"); do
+  if ((i % 3 == 0)); then
+    printf '{"id":%d,"op":"fit","species":"alpha","vdd":0.75}\n' "$i"
+  else
+    printf '{"id":%d,"op":"pof","species":"alpha","vdd":0.75,"energy_mev":%d.5}\n' \
+      "$i" $((i % 7))
+  fi
+done > "$WORK/burst.in"
+printf '%s\n' "$STATS" "$BYE" >> "$WORK/burst.in"
+"$CLI" serve "$WORK/cold.json" --threads 2 < "$WORK/burst.in" \
+  > "$WORK/burst.out" 2> /dev/null
+[[ $? -eq 0 ]] || fail "warm burst exited non-zero"
+[[ $(grep -c '"status":"ok","op":"\(pof\|fit\)"' "$WORK/burst.out") -eq $BURST ]] ||
+  fail "warm burst: expected $BURST ok replies"
+grep -q '"status":"shed"' "$WORK/burst.out" && fail "warm burst shed a cache hit"
+grep '"id":9,"status":"ok","op":"stats"' "$WORK/burst.out" > "$WORK/burst.stats"
+[[ -s "$WORK/burst.stats" ]] || fail "warm burst: no stats reply"
+counter_is_zero "$WORK/burst.stats" "serve.refines" ||
+  fail "warm burst ran a refinement"
 
 if [[ $FAILURES -gt 0 ]]; then
   echo "serve_smoke: $FAILURES check(s) failed" >&2

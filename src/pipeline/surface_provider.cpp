@@ -68,17 +68,22 @@ const ScenarioSpec& SurfaceProvider::find_scenario(
 const surface::ResponseSurface* SurfaceProvider::cache_put(
     surface::ResponseSurface surf, const std::string& scenario,
     const std::string& species) {
-  auto& slot = cache_[std::make_pair(scenario, species)];
-  slot = std::move(surf);
-  return &slot;
+  // First writer wins: an artifact lookup and a refinement can both produce
+  // the same surface (same bytes), and the first one may already be in use.
+  const std::lock_guard<std::mutex> lock(cache_mu_);
+  return &cache_.try_emplace(std::make_pair(scenario, species), std::move(surf))
+              .first->second;
 }
 
 const surface::ResponseSurface* SurfaceProvider::lookup(
     const std::string& scenario, const std::string& species) {
-  const auto it = cache_.find(std::make_pair(scenario, species));
-  if (it != cache_.end()) {
-    FINSER_OBS_COUNT("surface.memory_hits", 1);
-    return &it->second;
+  {
+    const std::lock_guard<std::mutex> lock(cache_mu_);
+    const auto it = cache_.find(std::make_pair(scenario, species));
+    if (it != cache_.end()) {
+      FINSER_OBS_COUNT("surface.memory_hits", 1);
+      return &it->second;
+    }
   }
   if (!store_.has_value()) return nullptr;
 

@@ -1,10 +1,16 @@
 /// \file serve.cpp
-/// \brief NDJSON serve loop: parse, batch, backpressure, drain.
+/// \brief NDJSON serve loop: inline hits, background refinement of miss
+/// batches, backpressure, drain.
 
 #include "finser/surface/serve.hpp"
 
+#include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <istream>
+#include <mutex>
 #include <ostream>
+#include <thread>
 #include <utility>
 
 #include "finser/obs/obs.hpp"
@@ -21,9 +27,7 @@ bool is_finite_number(const util::JsonValue& v) {
   return d == d && d - d == 0.0;  // finite: not NaN, not ±inf
 }
 
-}  // namespace
-
-struct ServeSession::Request {
+struct Request {
   util::JsonValue id;
   bool has_id = false;
   std::string op;  ///< "fit" or "pof".
@@ -33,6 +37,215 @@ struct ServeSession::Request {
   double energy_mev = 0.0;
   bool with_pv = true;
 };
+
+/// A reply carrying the request's id (when it had one) and \p status.
+util::JsonValue reply(const Request& q, const char* status) {
+  util::JsonValue r = util::JsonValue::object();
+  if (q.has_id) r["id"] = q.id;
+  r["status"] = status;
+  return r;
+}
+
+util::JsonValue failure(const Request& q, const char* status,
+                        std::string reason) {
+  util::JsonValue r = reply(q, status);
+  r["reason"] = std::move(reason);
+  return r;
+}
+
+/// The `ok` reply to \p q, read off surface \p s.
+std::string answer(const Request& q, const ResponseSurface& s) {
+  util::JsonValue r = reply(q, "ok");
+  r["op"] = q.op;
+  r["scenario"] = q.scenario;
+  r["species"] = q.species;
+  r["vdd"] = q.vdd;
+  if (q.op == "pof") {
+    r["energy_mev"] = q.energy_mev;
+    r["with_pv"] = q.with_pv;
+    r["grid_point"] = s.is_grid_vdd(q.vdd) && s.is_grid_energy(q.energy_mev);
+    const PofSample p = s.pof(q.vdd, q.energy_mev, q.with_pv);
+    r["pof_tot"] = p.tot;
+    r["pof_seu"] = p.seu;
+    r["pof_mbu"] = p.mbu;
+    r["pof_tot_se"] = p.tot_se;
+  } else {
+    r["with_pv"] = q.with_pv;
+    r["grid_point"] = s.is_grid_vdd(q.vdd);
+    const FitSample f = s.fit(q.vdd, q.with_pv);
+    r["fit_tot"] = f.tot;
+    r["fit_seu"] = f.seu;
+    r["fit_mbu"] = f.mbu;
+  }
+  FINSER_OBS_COUNT("serve.ok", 1);
+  return r.dump();
+}
+
+/// The reply stream, shared by the loop and the refiner thread: each reply
+/// line is written whole under one mutex.
+class Replies {
+ public:
+  explicit Replies(std::ostream& out) : out_(out) {}
+
+  void write(const std::string& line) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    out_ << line << '\n';
+  }
+
+  /// A degraded reply (error, shed, cancelled): written, and remembered for
+  /// the exit code.
+  void degraded(const util::JsonValue& r) {
+    write(r.dump());
+    degraded_.store(true, std::memory_order_relaxed);
+  }
+
+  void flush() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    out_.flush();
+  }
+
+  bool any_degraded() const {
+    return degraded_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::mutex mu_;
+  std::ostream& out_;
+  std::atomic<bool> degraded_{false};
+};
+
+/// Resolves miss batches in FIFO order on one plain thread, started by the
+/// first batch and joined when the session ends, so at most one refinement
+/// is in flight. Not a pool thread: a refinement submits its own regions to
+/// the shared exec pool, and parking it on a pool worker would take that
+/// worker away from them.
+class Refiner {
+ public:
+  Refiner(const ServeSession::LookupFn& lookup,
+          const ServeSession::RefineFn& refine,
+          const exec::CancelToken* cancel, Replies& replies)
+      : lookup_(lookup), refine_(refine), cancel_(cancel), replies_(replies) {}
+
+  ~Refiner() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    if (thread_.joinable()) thread_.join();
+  }
+
+  Refiner(const Refiner&) = delete;
+  Refiner& operator=(const Refiner&) = delete;
+
+  /// Queue \p batch (non-empty) for resolution and return at once.
+  void submit(std::vector<Request> batch) {
+    FINSER_OBS_COUNT("serve.batches", 1);
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      outstanding_ += batch.size();
+      queue_.push_back(Batch{std::move(batch), obs::now_ns()});
+      if (!thread_.joinable()) thread_ = std::thread([this] { loop(); });
+    }
+    cv_.notify_all();
+  }
+
+  /// Misses queued or in flight.
+  std::size_t outstanding() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return outstanding_;
+  }
+
+  /// Block until no batch is queued or in flight.
+  void settle() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return outstanding_ == 0; });
+  }
+
+ private:
+  struct Batch {
+    std::vector<Request> misses;
+    std::uint64_t handed_ns = 0;  ///< obs::now_ns() at hand-off.
+  };
+
+  void loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopped, nothing left
+      Batch batch = std::move(queue_.front());
+      queue_.pop_front();
+      lock.unlock();
+      resolve(batch);
+      replies_.flush();
+      lock.lock();
+      outstanding_ -= batch.misses.size();
+      cv_.notify_all();
+    }
+  }
+
+  void resolve(const Batch& batch) {
+    bool cache_only = false;
+    for (const Request& q : batch.misses) {
+      // Nothing may escape this thread: a failure is the request's reply.
+      try {
+        resolve_one(q, cache_only);
+      } catch (const std::exception& e) {
+        replies_.degraded(failure(
+            q, "error", std::string("refinement failed: ") + e.what()));
+        FINSER_OBS_COUNT("serve.errors", 1);
+      }
+      FINSER_OBS_RECORD("serve.miss_wait_ms",
+                        (obs::now_ns() - batch.handed_ns) / 1000000);
+    }
+  }
+
+  /// Answer one miss; \p cache_only turns on (for the rest of the batch)
+  /// once the drain has begun.
+  void resolve_one(const Request& q, bool& cache_only) {
+    // A batch queued behind a refinement may be answerable by now.
+    const ResponseSurface* s =
+        lookup_ ? lookup_(q.scenario, q.species) : nullptr;
+    if (s != nullptr) FINSER_OBS_COUNT("serve.cache_hits", 1);
+    if (s == nullptr && !cache_only) {
+      if (cancel_ != nullptr && cancel_->cancelled()) {
+        cache_only = true;  // drain: no new simulations past this point
+      } else {
+        try {
+          FINSER_OBS_COUNT("serve.refines", 1);
+          const std::uint64_t t0 = obs::now_ns();
+          s = refine_(q.scenario, q.species);
+          FINSER_OBS_RECORD("serve.refine_ms", (obs::now_ns() - t0) / 1000000);
+        } catch (const util::Cancelled&) {
+          cache_only = true;
+        }
+      }
+    }
+    if (s == nullptr) {
+      // Cache miss during a cache-only drain: the request is answered with
+      // an explicit `cancelled` status rather than silently dropped.
+      replies_.degraded(
+          failure(q, "cancelled", "draining: refinement not started"));
+      FINSER_OBS_COUNT("serve.cancelled", 1);
+      return;
+    }
+    replies_.write(answer(q, *s));
+  }
+
+  const ServeSession::LookupFn& lookup_;
+  const ServeSession::RefineFn& refine_;
+  const exec::CancelToken* cancel_;
+  Replies& replies_;
+
+  std::mutex mu_;
+  std::condition_variable cv_;  ///< Queue non-empty / stop / outstanding_ 0.
+  std::deque<Batch> queue_;
+  std::size_t outstanding_ = 0;  ///< Misses queued or being resolved.
+  bool stop_ = false;
+  std::thread thread_;  ///< Last: the loop uses the members above.
+};
+
+}  // namespace
 
 ServeSession::ServeSession(std::vector<ServeScenario> catalog,
                            ServeConfig config, LookupFn lookup, RefineFn refine,
@@ -46,115 +259,48 @@ ServeSession::ServeSession(std::vector<ServeScenario> catalog,
   FINSER_REQUIRE(config_.max_pending > 0, "serve: max_pending must be >= 1");
 }
 
-void ServeSession::respond(std::ostream& out, const std::string& line) {
-  out << line << '\n';
-}
-
-void ServeSession::flush(std::vector<Request>& pending, std::ostream& out,
-                         bool cache_only) {
-  if (!pending.empty()) FINSER_OBS_COUNT("serve.batches", 1);
-  for (const Request& q : pending) {
-    const ResponseSurface* s = lookup_ ? lookup_(q.scenario, q.species) : nullptr;
-    if (s != nullptr) FINSER_OBS_COUNT("serve.cache_hits", 1);
-    if (s == nullptr && !cache_only) {
-      if (cancel_ != nullptr && cancel_->cancelled()) {
-        cache_only = true;  // drain: no new simulations past this point
-      } else {
-        try {
-          FINSER_OBS_COUNT("serve.refines", 1);
-          s = refine_(q.scenario, q.species);
-        } catch (const util::Cancelled&) {
-          cache_only = true;
-        } catch (const std::exception& e) {
-          util::JsonValue r = util::JsonValue::object();
-          if (q.has_id) r["id"] = q.id;
-          r["status"] = "error";
-          r["reason"] = std::string("refinement failed: ") + e.what();
-          respond(out, r.dump());
-          degraded_ = true;
-          FINSER_OBS_COUNT("serve.errors", 1);
-          continue;
-        }
-      }
-    }
-    if (s == nullptr) {
-      // Cache miss during a cache-only drain: the request is answered with
-      // an explicit `cancelled` status rather than silently dropped.
-      util::JsonValue r = util::JsonValue::object();
-      if (q.has_id) r["id"] = q.id;
-      r["status"] = "cancelled";
-      r["reason"] = "draining: refinement not started";
-      respond(out, r.dump());
-      degraded_ = true;
-      FINSER_OBS_COUNT("serve.cancelled", 1);
-      continue;
-    }
-    util::JsonValue r = util::JsonValue::object();
-    if (q.has_id) r["id"] = q.id;
-    r["status"] = "ok";
-    r["op"] = q.op;
-    r["scenario"] = q.scenario;
-    r["species"] = q.species;
-    r["vdd"] = q.vdd;
-    if (q.op == "pof") {
-      r["energy_mev"] = q.energy_mev;
-      r["with_pv"] = q.with_pv;
-      r["grid_point"] =
-          s->is_grid_vdd(q.vdd) && s->is_grid_energy(q.energy_mev);
-      const PofSample p = s->pof(q.vdd, q.energy_mev, q.with_pv);
-      r["pof_tot"] = p.tot;
-      r["pof_seu"] = p.seu;
-      r["pof_mbu"] = p.mbu;
-      r["pof_tot_se"] = p.tot_se;
-    } else {
-      r["with_pv"] = q.with_pv;
-      r["grid_point"] = s->is_grid_vdd(q.vdd);
-      const FitSample f = s->fit(q.vdd, q.with_pv);
-      r["fit_tot"] = f.tot;
-      r["fit_seu"] = f.seu;
-      r["fit_mbu"] = f.mbu;
-    }
-    respond(out, r.dump());
-    FINSER_OBS_COUNT("serve.ok", 1);
-  }
-  pending.clear();
-  out.flush();
-}
-
 int ServeSession::run(std::istream& in, std::ostream& out) {
-  std::vector<Request> pending;
-  pending.reserve(config_.max_pending);
+  Replies replies(out);
+  Refiner refiner(lookup_, refine_, cancel_, replies);
+  std::vector<Request> pending;  // misses parsed since the last boundary
+  const auto hand_off = [&] {
+    if (pending.empty()) return;
+    refiner.submit(std::move(pending));
+    pending.clear();
+  };
+  // Wait for every miss received so far to be answered.
+  const auto settle = [&] {
+    hand_off();
+    refiner.settle();
+  };
+
   std::string line;
   bool shutdown = false;
   while (!shutdown) {
     if (cancel_ != nullptr && cancel_->cancelled()) break;
-    // About to block on input with work queued? Resolve the batch first so
-    // clients that wrote several requests in one burst get them answered by
-    // one refinement pass, while a lone request never waits.
-    if (!pending.empty() && in.rdbuf()->in_avail() <= 0) {
-      flush(pending, out, /*cache_only=*/false);
-      continue;  // re-check cancellation before blocking
+    // About to block on input? Hand this burst's misses to the refiner as
+    // one batch, so a burst costs one refinement pass while a lone request
+    // never waits, and push out the replies answered inline.
+    if (in.rdbuf()->in_avail() <= 0) {
+      hand_off();
+      replies.flush();
     }
     if (!std::getline(in, line)) break;  // EOF, or EINTR after a signal
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
 
     FINSER_OBS_COUNT("serve.requests", 1);
+    Request q;
     util::JsonValue req;
     try {
       req = util::JsonValue::parse(line);
       FINSER_REQUIRE(req.is_object(), "request must be a JSON object");
     } catch (const std::exception& e) {
-      util::JsonValue r = util::JsonValue::object();
-      r["status"] = "error";
-      r["reason"] = std::string("bad request: ") + e.what();
-      respond(out, r.dump());
-      out.flush();
-      degraded_ = true;
+      replies.degraded(
+          failure(q, "error", std::string("bad request: ") + e.what()));
       FINSER_OBS_COUNT("serve.errors", 1);
       continue;
     }
 
-    Request q;
     if (req.contains("id")) {
       q.has_id = true;
       q.id = req.at("id");
@@ -165,42 +311,39 @@ int ServeSession::run(std::istream& in, std::ostream& out) {
             : std::string();
 
     if (op == "shutdown") {
-      flush(pending, out, /*cache_only=*/false);
-      util::JsonValue r = util::JsonValue::object();
-      if (q.has_id) r["id"] = q.id;
-      r["status"] = "ok";
+      settle();
+      util::JsonValue r = reply(q, "ok");
       r["op"] = "shutdown";
-      respond(out, r.dump());
-      out.flush();
+      replies.write(r.dump());
       shutdown = true;
       continue;
     }
     if (op == "stats") {
-      // Flush first so the counters reflect every request received so far.
-      flush(pending, out, /*cache_only=*/false);
-      util::JsonValue r = util::JsonValue::object();
-      if (q.has_id) r["id"] = q.id;
-      r["status"] = "ok";
+      // Settle first so the metrics reflect every request received so far.
+      settle();
+      util::JsonValue r = reply(q, "ok");
       r["op"] = "stats";
+      const obs::Snapshot snap = obs::Registry::global().snapshot();
       util::JsonValue counters = util::JsonValue::object();
-      for (const auto& row : obs::Registry::global().snapshot().counters) {
-        counters[row.name] = row.total;
+      for (const auto& row : snap.counters) counters[row.name] = row.total;
+      util::JsonValue histograms = util::JsonValue::object();
+      for (const auto& row : snap.histograms) {
+        util::JsonValue h = util::JsonValue::object();
+        h["count"] = row.count;
+        h["sum"] = row.sum;
+        h["min"] = row.min;
+        h["max"] = row.max;
+        histograms[row.name] = std::move(h);
       }
       r["counters"] = std::move(counters);
-      respond(out, r.dump());
-      out.flush();
+      r["histograms"] = std::move(histograms);
+      replies.write(r.dump());
       continue;
     }
 
-    // Query ops: validate against the catalog before queueing.
-    const auto reject = [&](const std::string& reason) {
-      util::JsonValue r = util::JsonValue::object();
-      if (q.has_id) r["id"] = q.id;
-      r["status"] = "error";
-      r["reason"] = reason;
-      respond(out, r.dump());
-      out.flush();
-      degraded_ = true;
+    // Query ops: validate against the catalog before answering or queueing.
+    const auto reject = [&](std::string reason) {
+      replies.degraded(failure(q, "error", std::move(reason)));
       FINSER_OBS_COUNT("serve.errors", 1);
     };
     if (op != "fit" && op != "pof") {
@@ -254,30 +397,32 @@ int ServeSession::run(std::istream& in, std::ostream& out) {
       q.with_pv = req.at("with_pv").as_bool();
     }
 
-    // Backpressure: a full pending queue sheds instead of buffering without
-    // bound. Shed responses are immediate (they may interleave ahead of the
-    // queued requests' answers).
-    if (pending.size() >= config_.max_pending) {
-      util::JsonValue r = util::JsonValue::object();
-      if (q.has_id) r["id"] = q.id;
-      r["status"] = "shed";
-      r["reason"] = "pending queue full (max_pending=" +
-                    std::to_string(config_.max_pending) + ")";
-      respond(out, r.dump());
-      out.flush();
-      degraded_ = true;
+    // Cache hit: answer inline, never behind a refinement.
+    if (const ResponseSurface* s =
+            lookup_ ? lookup_(q.scenario, q.species) : nullptr) {
+      FINSER_OBS_COUNT("serve.cache_hits", 1);
+      replies.write(answer(q, *s));
+      continue;
+    }
+    // Backpressure: with max_pending misses queued or being refined, a new
+    // miss is shed instead of buffered without bound. Shed replies are
+    // immediate (they may interleave ahead of queued misses' answers).
+    if (pending.size() + refiner.outstanding() >= config_.max_pending) {
+      replies.degraded(failure(q, "shed",
+                               "pending queue full (max_pending=" +
+                                   std::to_string(config_.max_pending) + ")"));
       FINSER_OBS_COUNT("serve.shed", 1);
       continue;
     }
     pending.push_back(std::move(q));
   }
 
-  // Drain: when cancelled, answer what the cache can and mark the rest
-  // `cancelled`; on EOF/shutdown the queue resolves normally.
-  const bool cancelled = cancel_ != nullptr && cancel_->cancelled();
-  flush(pending, out, /*cache_only=*/cancelled);
-  out.flush();
-  return degraded_ ? 6 : 0;
+  // Drain: EOF, shutdown or cancellation. Every miss received is answered;
+  // once the token is cancelled the refiner answers from cache only and
+  // replies `cancelled` to the rest.
+  settle();
+  replies.flush();
+  return replies.any_degraded() ? 6 : 0;
 }
 
 }  // namespace finser::surface

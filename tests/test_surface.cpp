@@ -2,22 +2,35 @@
 /// \brief finser::surface unit tests: from_sweep channel copies, the
 /// byte-stable query contract (exact nodes bitwise, clamped edges bitwise),
 /// the versioned codec, the hoisted cell-model codec, surface fingerprints,
-/// and the ServeSession NDJSON loop against synthetic lookup/refine hooks.
+/// the SurfaceProvider cache under a concurrent refine, and the ServeSession
+/// NDJSON loop against synthetic lookup/refine hooks.
 
 #include "finser/surface/response_surface.hpp"
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
+#include <filesystem>
+#include <functional>
 #include <gtest/gtest.h>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "finser/core/array_engine.hpp"
+#include "finser/obs/obs.hpp"
+#include "finser/pipeline/artifact_store.hpp"
+#include "finser/pipeline/campaign.hpp"
 #include "finser/pipeline/surface_provider.hpp"
 #include "finser/surface/serve.hpp"
 #include "finser/util/error.hpp"
+#include "finser/util/json.hpp"
 
 namespace finser::surface {
 namespace {
@@ -249,20 +262,115 @@ TEST(SurfaceFingerprint, StableAndSensitiveToSpeciesPosition) {
                util::InvalidArgument);
 }
 
+/// Turns metric collection on and zeroes the registry for one test, then
+/// restores the previous switch.
+class ObsOn {
+ public:
+  ObsOn() : was_(obs::enabled()) {
+    obs::set_enabled(true);
+    obs::Registry::global().reset();
+  }
+  ~ObsOn() { obs::set_enabled(was_); }
+
+  static std::uint64_t counter(const std::string& name) {
+    return obs::Registry::global().counter(name).total();
+  }
+
+ private:
+  bool was_;
+};
+
+// lookup() from four threads while refine() of the same scenario runs: the
+// store is seeded with a synthetic surface under the scenario's real
+// identity, so lookup serves it and the refinement then builds a different
+// surface for the same key. First writer wins: every pointer handed out
+// before the refine must still read the seeded bytes after it.
+TEST(SurfaceProvider, LookupPointersSurviveAConcurrentRefine) {
+  const ObsOn obs_on;
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "finser_surface_provider_mt")
+          .string();
+  std::filesystem::remove_all(dir);
+
+  core::SerFlowConfig flow;
+  flow.array_rows = 2;
+  flow.array_cols = 2;
+  flow.characterization.vdds = {0.8};
+  flow.characterization.pv_samples_single = 6;
+  flow.characterization.pair_grid_points = 6;
+  flow.characterization.triple_grid_points = 6;
+  flow.characterization.pv_samples_grid = 4;
+  flow.array_mc.strikes = 1000;
+  flow.alpha_bins = 3;
+  flow.seed = 11;
+  pipeline::CampaignSpec spec =
+      pipeline::single_scenario_campaign(flow, {"alpha"}, "", "tiny");
+  spec.artifact_dir = dir;
+
+  pipeline::ScenarioSpec resolved = spec.scenarios[0];
+  pipeline::resolve_flow_for_execution(resolved.flow);
+  ResponseSurface seeded = make_surface();
+  seeded.fingerprint = pipeline::response_surface_fingerprint(resolved, 0);
+  ASSERT_TRUE(pipeline::ArtifactStore(dir).put(
+      pipeline::ArtifactKey{kResponseSurfaceKind, seeded.fingerprint},
+      seeded.encode()));
+
+  pipeline::SurfaceProvider provider(spec, 2);
+  const ResponseSurface* first = provider.lookup("tiny", "alpha");
+  ASSERT_NE(first, nullptr);
+  const std::vector<std::uint8_t> bytes = first->encode();
+  ASSERT_EQ(bytes, seeded.encode());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> lookups{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      do {
+        const ResponseSurface* p = provider.lookup("tiny", "alpha");
+        if (p != first || p->encode() != bytes) ++mismatches;
+        ++lookups;
+      } while (!done.load());
+    });
+  }
+  const ResponseSurface* refined = nullptr;
+  std::string refine_error;
+  try {
+    refined = provider.refine("tiny", "alpha");
+  } catch (const std::exception& e) {
+    refine_error = e.what();
+  }
+  done = true;
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(refine_error, "");
+
+  EXPECT_GT(lookups.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(refined, first);  // the refinement did not replace the entry
+  EXPECT_EQ(first->encode(), bytes);
+  EXPECT_EQ(ObsOn::counter("surface.builds"), 1u);
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // ServeSession against synthetic hooks: no simulation, pure protocol.
 // ---------------------------------------------------------------------------
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream split(text);
+  std::string l;
+  while (std::getline(split, l)) lines.push_back(l);
+  return lines;
+}
 
 std::vector<std::string> run_session(const std::string& input,
                                      ServeSession& session, int& rc) {
   std::istringstream in(input);
   std::ostringstream out;
   rc = session.run(in, out);
-  std::vector<std::string> lines;
-  std::istringstream split(out.str());
-  std::string l;
-  while (std::getline(split, l)) lines.push_back(l);
-  return lines;
+  return split_lines(out.str());
 }
 
 std::vector<ServeScenario> one_scenario_catalog() {
@@ -420,6 +528,223 @@ TEST(ServeSession, CancelledTokenDrainsWithCacheOnlyAnswers) {
   // Pre-cancelled token: the loop exits before reading; no replies, clean.
   EXPECT_EQ(rc, 0);
   EXPECT_TRUE(lines.empty());
+}
+
+
+/// A one-shot gate: open() once, wait() until opened or \p timeout passes
+/// (a timeout is a test failure, never a hang).
+class Gate {
+ public:
+  void open() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  bool wait(std::chrono::seconds timeout = std::chrono::seconds(30)) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+/// Input that hands out one line per read, like a client writing requests
+/// one at a time: after each line in_avail() is 0, so every line is a
+/// blocking boundary. \p on_eof runs once, on the reading thread, when the
+/// lines run out.
+class LineFeed final : public std::streambuf {
+ public:
+  LineFeed(std::vector<std::string> lines, std::function<void()> on_eof)
+      : lines_(std::move(lines)), on_eof_(std::move(on_eof)) {}
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    if (next_ == lines_.size()) {
+      if (on_eof_) std::exchange(on_eof_, nullptr)();
+      return traits_type::eof();
+    }
+    current_ = lines_[next_++] + "\n";
+    setg(current_.data(), current_.data(), current_.data() + current_.size());
+    return traits_type::to_int_type(*gptr());
+  }
+
+ private:
+  std::vector<std::string> lines_;
+  std::function<void()> on_eof_;
+  std::size_t next_ = 0;
+  std::string current_;
+};
+
+std::string fit_query(int id, const char* species) {
+  return "{\"id\": " + std::to_string(id) +
+         ", \"op\": \"fit\", \"species\": \"" + species +
+         "\", \"vdd\": 0.8}";
+}
+
+TEST(ServeSession, HitsAreAnsweredWhileARefinementRuns) {
+  const ResponseSurface surf = make_surface();
+  ServeScenario sc;
+  sc.name = "scen";
+  sc.species = {"alpha", "proton"};
+  Gate refine_may_finish;
+  std::atomic<bool> refined{false};
+  int refines = 0;
+  ServeSession session(
+      {sc}, ServeConfig{},
+      [&surf, &refined](const std::string&,
+                        const std::string& sp) -> const ResponseSurface* {
+        return sp == "alpha" || refined.load() ? &surf : nullptr;
+      },
+      [&](const std::string&, const std::string&) {
+        ++refines;
+        EXPECT_TRUE(refine_may_finish.wait());
+        refined = true;
+        return &surf;
+      },
+      nullptr);
+  // One proton miss, then five alpha hits, each line its own read.
+  std::vector<std::string> input = {fit_query(0, "proton")};
+  for (int id = 1; id <= 5; ++id) input.push_back(fit_query(id, "alpha"));
+  std::ostringstream out;
+  std::string before_open;  // the replies written while refine was held
+  LineFeed feed(input, [&] {
+    before_open = out.str();
+    refine_may_finish.open();
+  });
+  std::istream in(&feed);
+  const int rc = session.run(in, out);
+
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(refines, 1);
+  const auto held = split_lines(before_open);
+  ASSERT_EQ(held.size(), 5u);
+  for (int id = 1; id <= 5; ++id) {
+    EXPECT_NE(held[id - 1].find("\"id\":" + std::to_string(id) + ","),
+              std::string::npos)
+        << held[id - 1];
+    EXPECT_NE(held[id - 1].find("\"status\":\"ok\""), std::string::npos);
+  }
+  const auto lines = split_lines(out.str());
+  ASSERT_EQ(lines.size(), 6u);
+  EXPECT_EQ(std::vector<std::string>(lines.begin(), lines.begin() + 5), held);
+  EXPECT_NE(lines[5].find("\"id\":0,"), std::string::npos) << lines[5];
+  EXPECT_NE(lines[5].find("\"status\":\"ok\""), std::string::npos);
+}
+
+TEST(ServeSession, HitBurstOverTheBoundIsNotShed) {
+  const ResponseSurface surf = make_surface();
+  ServeConfig cfg;
+  cfg.max_pending = 64;
+  ServeSession session(
+      one_scenario_catalog(), cfg,
+      [&surf](const std::string&, const std::string&) { return &surf; },
+      [](const std::string&, const std::string&) -> const ResponseSurface* {
+        ADD_FAILURE() << "a hit burst must not refine";
+        return nullptr;
+      },
+      nullptr);
+  std::string burst;
+  for (int id = 0; id < 2048; ++id) burst += fit_query(id, "alpha") + "\n";
+  int rc = -1;
+  const auto lines = run_session(burst, session, rc);
+  EXPECT_EQ(rc, 0);
+  ASSERT_EQ(lines.size(), 2048u);
+  std::size_t ok = 0;
+  for (const std::string& l : lines) {
+    ok += l.find("\"status\":\"ok\"") != std::string::npos ? 1 : 0;
+  }
+  EXPECT_EQ(ok, 2048u);
+}
+
+TEST(ServeSession, CancelDuringARefinementCancelsTheWaitingMisses) {
+  const ResponseSurface surf = make_surface();
+  exec::CancelToken cancel;
+  Gate refine_started;
+  int refines = 0;
+  ServeSession session(
+      one_scenario_catalog(), ServeConfig{},
+      [](const std::string&, const std::string&) -> const ResponseSurface* {
+        return nullptr;  // nothing cached
+      },
+      [&](const std::string&, const std::string&) -> const ResponseSurface* {
+        ++refines;
+        refine_started.open();
+        // Cooperative cancellation, as a CampaignRunner polls its token.
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!cancel.cancelled() &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        throw util::Cancelled("refinement cancelled");
+      },
+      &cancel);
+  // Miss 1 starts the refinement, miss 2 queues behind it; the "signal"
+  // arrives once both are in, while the refinement is still running.
+  LineFeed feed({fit_query(1, "alpha"), fit_query(2, "alpha")}, [&] {
+    EXPECT_TRUE(refine_started.wait());
+    cancel.cancel();
+  });
+  std::istream in(&feed);
+  std::ostringstream out;
+  const int rc = session.run(in, out);
+
+  EXPECT_EQ(rc, 6);
+  EXPECT_EQ(refines, 1);  // no second refinement after the cancel
+  const auto lines = split_lines(out.str());
+  ASSERT_EQ(lines.size(), 2u);
+  for (int id = 1; id <= 2; ++id) {
+    EXPECT_NE(lines[id - 1].find("\"id\":" + std::to_string(id) + ","),
+              std::string::npos)
+        << lines[id - 1];
+    EXPECT_NE(lines[id - 1].find("\"status\":\"cancelled\""),
+              std::string::npos)
+        << lines[id - 1];
+  }
+}
+
+TEST(ServeSession, StatsSettlesBehindAnInFlightMiss) {
+  const ObsOn obs_on;
+  const ResponseSurface surf = make_surface();
+  std::atomic<bool> refined{false};
+  ServeSession session(
+      one_scenario_catalog(), ServeConfig{},
+      [&surf, &refined](const std::string&,
+                        const std::string&) -> const ResponseSurface* {
+        return refined.load() ? &surf : nullptr;
+      },
+      [&surf, &refined](const std::string&, const std::string&) {
+        // Long enough that `stats` arrives while this is in flight.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        refined = true;
+        return &surf;
+      },
+      nullptr);
+  LineFeed feed({fit_query(1, "alpha"), "{\"id\": 2, \"op\": \"stats\"}"},
+                nullptr);
+  std::istream in(&feed);
+  std::ostringstream out;
+  const int rc = session.run(in, out);
+
+  EXPECT_EQ(rc, 0);
+  const auto lines = split_lines(out.str());
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"id\":1,"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("\"status\":\"ok\""), std::string::npos);
+  const util::JsonValue stats = util::JsonValue::parse(lines[1]);
+  EXPECT_EQ(stats.at("id").as_uint(), 2u);
+  EXPECT_EQ(stats.at("counters").at("serve.refines").as_uint(), 1u);
+  EXPECT_EQ(stats.at("counters").at("serve.batches").as_uint(), 1u);
+  const util::JsonValue& hists = stats.at("histograms");
+  EXPECT_EQ(hists.at("serve.refine_ms").at("count").as_uint(), 1u);
+  EXPECT_GE(hists.at("serve.refine_ms").at("max").as_uint(), 50u);
+  EXPECT_EQ(hists.at("serve.miss_wait_ms").at("count").as_uint(), 1u);
 }
 
 }  // namespace

@@ -134,9 +134,10 @@ void print_help() {
       "  --artifact-dir DIR  for `serve`: override the campaign file's\n"
       "                 artifact_dir; for `artifacts ls`: default directory\n"
       "                 when no positional one is given\n"
-      "  --max-pending N  for `serve`: bound on queued refinement requests;\n"
-      "                 requests over the bound get an immediate `shed`\n"
-      "                 reply instead of waiting (default 64)\n\n"
+      "  --max-pending N  for `serve`: bound on queued refinement requests\n"
+      "                 (cache misses; hits are answered at once); misses\n"
+      "                 over the bound get an immediate `shed` reply\n"
+      "                 instead of waiting (default 64)\n\n"
       "Exit codes:\n"
       "  0  success\n"
       "  1  unexpected error\n"
@@ -440,8 +441,10 @@ int cmd_campaign(const std::string& campaign_path, std::size_t cli_threads,
 ///
 /// `serve` cannot read requests through std::cin, for two reasons:
 ///   - the stdio-synced streambuf reports in_avail() == 0 even when a burst
-///     of requests is already buffered, which defeats ServeSession's
-///     flush-at-blocking-boundary batching (one refinement per burst);
+///     of requests is already buffered. ServeSession reads in_avail() as its
+///     batch and flush boundary: the misses parsed before it go to the
+///     refiner as one batch (one refinement per burst) and the inline
+///     replies are flushed, so a constant 0 would split every burst;
 ///   - the unsynced filebuf retries read(2) after EINTR, so a SIGINT/SIGTERM
 ///     arriving while blocked on input never surfaces and the drain hangs.
 /// Owning the fd read fixes both: in_avail() reports exactly the bytes a
