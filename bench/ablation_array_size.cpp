@@ -25,8 +25,9 @@ void report() {
     core::SerFlowConfig cfg = base;
     cfg.array_rows = n;
     cfg.array_cols = n;
-    // One shared LUT cache works for every size (cell model is identical).
+    // One stored cell model serves every size (same fingerprint).
     core::SerFlow flow(cfg);
+    bench::cell_model(flow);
     const auto res = flow.run_at_energy(phys::Species::kAlpha, 2.0);
     // Vdd = 0.7 V, with process variation.
     const auto& e = res.est[0][core::kModeWithPv];

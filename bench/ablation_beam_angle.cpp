@@ -22,8 +22,7 @@ using namespace finser;
 void report() {
   core::SerFlowConfig cfg = bench::paper_flow_config();
   core::SerFlow flow(cfg);
-  flow.cell_model(bench::progress_printer());
-  const auto& model = flow.cell_model();
+  const auto& model = bench::cell_model(flow, bench::progress_printer());
 
   util::CsvTable t({"tilt_deg", "pof_tot", "pof_mbu", "mbu_seu_pct"});
   const double e_mev = 2.0;  // Near the alpha deposit maximum.

@@ -8,8 +8,9 @@
 /// (3) writes a CSV under bench_out/ for EXPERIMENTS.md, and then
 /// (4) runs google-benchmark micro-benchmarks of the kernel it exercises.
 ///
-/// The expensive POF-LUT characterization is cached in
-/// bench_out/pof_luts.bin and shared by every binary (same fingerprint).
+/// The expensive POF-LUT characterization is shared by every binary through
+/// the artifact store under bench_out/artifacts (kind "cell_model"): see
+/// cell_model() below.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +24,8 @@
 
 #include "finser/core/ser_flow.hpp"
 #include "finser/exec/progress.hpp"
+#include "finser/pipeline/artifact_store.hpp"
+#include "finser/surface/response_surface.hpp"
 #include "finser/util/csv.hpp"
 
 namespace finser::bench {
@@ -44,10 +47,32 @@ inline core::SerFlowConfig paper_flow_config() {
   cfg.array_mc.strikes = 60000;
   cfg.proton_bins = 12;
   cfg.alpha_bins = 10;
-  cfg.lut_cache_path = std::string(kOutDir) + "/pof_luts.bin";
   cfg.seed = 20140601;  // DAC'14 conference date.
   core::apply_mc_scale(cfg, core::mc_scale_from_env());
   return cfg;
+}
+
+/// \p flow's characterized cell model, shared by every bench binary: loaded
+/// from the artifact store under bench_out/artifacts when a model with the
+/// flow's fingerprint is there, else characterized and stored. Call it
+/// before anything that needs the model (sweep, run_at_energy), so the flow
+/// never characterizes on its own.
+inline const sram::CellSoftErrorModel& cell_model(
+    core::SerFlow& flow, const exec::ProgressSink& progress = {}) {
+  const pipeline::ArtifactStore store(std::string(kOutDir) + "/artifacts");
+  const pipeline::ArtifactKey key{"cell_model", flow.model_fingerprint()};
+  std::vector<std::uint8_t> blob;
+  if (store.try_get(key, blob)) {
+    try {
+      flow.set_cell_model(surface::decode_cell_model(blob, key.fingerprint));
+      return flow.cell_model();
+    } catch (const std::exception&) {
+      // A malformed payload degrades to characterizing again.
+    }
+  }
+  const sram::CellSoftErrorModel& model = flow.cell_model(progress);
+  store.put(key, surface::encode_cell_model(model));
+  return model;
 }
 
 /// Normalize a series to its maximum (the paper reports normalized data).

@@ -71,8 +71,7 @@ void report() {
   cfg.array_mc.strikes = std::max<std::size_t>(
       1, static_cast<std::size_t>(6000 * core::mc_scale_from_env()));
   core::SerFlow flow(cfg);
-  flow.cell_model(bench::progress_printer());
-  const auto& model = flow.cell_model();
+  const auto& model = bench::cell_model(flow, bench::progress_printer());
 
   obs::Registry::global().reset();
   obs::set_enabled(true);

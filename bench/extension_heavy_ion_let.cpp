@@ -90,7 +90,7 @@ std::pair<double, double> pof_at_let(const sram::ArrayLayout& layout,
 void report() {
   core::SerFlowConfig cfg = bench::paper_flow_config();
   core::SerFlow flow(cfg);
-  const auto& model = flow.cell_model(bench::progress_printer());
+  const auto& model = bench::cell_model(flow, bench::progress_printer());
   const sram::ArrayLayout& layout = flow.layout();
   geom::UniformGrid grid(layout.fins());
   const auto strikes = static_cast<std::size_t>(40000 * core::mc_scale_from_env());

@@ -14,7 +14,7 @@ using namespace finser;
 void report() {
   core::SerFlowConfig cfg = bench::paper_flow_config();
   core::SerFlow flow(cfg);
-  flow.cell_model(bench::progress_printer());
+  bench::cell_model(flow, bench::progress_printer());
 
   const auto rp = flow.sweep(env::sea_level_protons(), bench::progress_printer());
   const auto ra = flow.sweep(env::package_alphas(), bench::progress_printer());
@@ -36,7 +36,7 @@ void report() {
 void bm_energy_point(benchmark::State& state) {
   core::SerFlowConfig cfg = bench::paper_flow_config();
   core::SerFlow flow(cfg);
-  const auto& model = flow.cell_model();
+  const auto& model = bench::cell_model(flow);
   core::ArrayMcConfig mc_cfg = cfg.array_mc;
   mc_cfg.strikes = 1000;
   core::ArrayMc mc(flow.layout(), model, mc_cfg);

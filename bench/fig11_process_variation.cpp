@@ -15,7 +15,7 @@ using namespace finser;
 void report() {
   core::SerFlowConfig cfg = bench::paper_flow_config();
   core::SerFlow flow(cfg);
-  flow.cell_model(bench::progress_printer());
+  bench::cell_model(flow, bench::progress_printer());
 
   const auto ra = flow.sweep(env::package_alphas(), bench::progress_printer());
 
@@ -38,7 +38,7 @@ void report() {
 void bm_pof_lookup_pv(benchmark::State& state) {
   core::SerFlowConfig cfg = bench::paper_flow_config();
   core::SerFlow flow(cfg);
-  const auto& table = flow.cell_model().at_vdd(0.8);
+  const auto& table = bench::cell_model(flow).at_vdd(0.8);
   double q = 0.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.pof(sram::StrikeCharges{q, 0.0, 0.0}, true));
@@ -50,7 +50,7 @@ BENCHMARK(bm_pof_lookup_pv);
 void bm_pof_lookup_pair(benchmark::State& state) {
   core::SerFlowConfig cfg = bench::paper_flow_config();
   core::SerFlow flow(cfg);
-  const auto& table = flow.cell_model().at_vdd(0.8);
+  const auto& table = bench::cell_model(flow).at_vdd(0.8);
   double q = 0.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.pof(sram::StrikeCharges{q, 0.2 - q, 0.0}, true));

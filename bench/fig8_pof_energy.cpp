@@ -13,7 +13,7 @@ using namespace finser;
 void report() {
   core::SerFlowConfig cfg = bench::paper_flow_config();
   core::SerFlow flow(cfg);
-  flow.cell_model(bench::progress_printer());
+  bench::cell_model(flow, bench::progress_printer());
 
   // Fig. 8 energy grid: 0.1-100 MeV for both species (alphas only emitted
   // below 10 MeV terrestrially, but the figure sweeps the full axis).
@@ -60,7 +60,7 @@ void report() {
 void bm_array_mc_strikes(benchmark::State& state) {
   core::SerFlowConfig cfg = bench::paper_flow_config();
   core::SerFlow flow(cfg);
-  const auto& model = flow.cell_model();
+  const auto& model = bench::cell_model(flow);
   core::ArrayMcConfig mc_cfg = cfg.array_mc;
   mc_cfg.strikes = 2000;
   core::ArrayMc mc(flow.layout(), model, mc_cfg);

@@ -14,7 +14,7 @@ using namespace finser;
 void report() {
   core::SerFlowConfig cfg = bench::paper_flow_config();
   core::SerFlow flow(cfg);
-  flow.cell_model(bench::progress_printer());
+  bench::cell_model(flow, bench::progress_printer());
 
   const auto rp = flow.sweep(env::sea_level_protons(), bench::progress_printer());
   const auto ra = flow.sweep(env::package_alphas(), bench::progress_printer());

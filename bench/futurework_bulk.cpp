@@ -26,10 +26,10 @@ void report() {
         std::pair{"bulk", sram::TechnologyKind::kBulk}}) {
     core::SerFlowConfig cfg = bench::paper_flow_config();
     cfg.cell_geometry.technology = tech;
-    // Separate LUT cache per technology is unnecessary (the cell electrical
-    // model is shared); the default cache applies.
+    // One stored cell model serves both technologies (the cell electrical
+    // model is shared).
     core::SerFlow flow(cfg);
-    flow.cell_model(bench::progress_printer());
+    bench::cell_model(flow, bench::progress_printer());
     const auto ra = flow.sweep(env::package_alphas());
     const auto rp = flow.sweep(env::sea_level_protons());
     for (std::size_t v = 0; v < ra.vdds.size(); ++v) {

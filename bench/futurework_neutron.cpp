@@ -16,7 +16,7 @@ void report() {
   core::SerFlowConfig cfg = bench::paper_flow_config();
   cfg.neutron_mc.histories = cfg.array_mc.strikes;
   core::SerFlow flow(cfg);
-  flow.cell_model(bench::progress_printer());
+  bench::cell_model(flow, bench::progress_printer());
 
   const auto rn = flow.sweep(env::sea_level_neutrons(), bench::progress_printer());
   const auto ra = flow.sweep(env::package_alphas());
@@ -60,7 +60,7 @@ BENCHMARK(bm_interaction_sample);
 void bm_neutron_histories(benchmark::State& state) {
   core::SerFlowConfig cfg = bench::paper_flow_config();
   core::SerFlow flow(cfg);
-  const auto& model = flow.cell_model();
+  const auto& model = bench::cell_model(flow);
   core::NeutronMcConfig mc_cfg = cfg.neutron_mc;
   mc_cfg.histories = 2000;
   core::NeutronArrayMc mc(flow.layout(), model, mc_cfg);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "finser/ckpt/checkpoint.hpp"
 #include "finser/core/array_mc.hpp"
 #include "finser/exec/exec.hpp"
 #include "finser/obs/obs.hpp"
@@ -211,7 +210,7 @@ void report_obs_overhead() {
 }
 
 /// Warm-vs-cold campaign through the content-addressed artifact store: the
-/// cold pass characterizes the cell and builds every LUT from scratch; the
+/// cold pass characterizes the cell and prices every bin from scratch; the
 /// warm pass must load all of it back (0 characterizations) and only pay
 /// for I/O + decode. The ratio is the headline number for the caching layer
 /// (docs/architecture.md).
@@ -253,14 +252,13 @@ void report_artifact_cache() {
   obs::Registry::global().reset();
   obs::set_enabled(true);
   const exec::ProgressSink quiet;
-  const ckpt::RunOptions run;
 
   const auto timed_pass = [&](const char* label) {
     const std::uint64_t chars_before =
         obs::Registry::global().counter("pipeline.characterizations").total();
     const auto start = std::chrono::steady_clock::now();
     pipeline::CampaignRunner runner(spec);
-    const auto results = runner.run(quiet, run);
+    const auto results = runner.run(quiet);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

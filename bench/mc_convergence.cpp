@@ -64,7 +64,7 @@ void report() {
   cfg.array_rows = 5;
   cfg.array_cols = 5;
   core::SerFlow flow(cfg);
-  const auto& model = flow.cell_model(bench::progress_printer());
+  const auto& model = bench::cell_model(flow, bench::progress_printer());
 
   // Part A — run-to-run spread at a matched strike budget, three samplers.
   // variance_ratio_vs_uniform uses the reported SE (calibrated against the
@@ -175,7 +175,7 @@ void bm_default_throughput(benchmark::State& state) {
   cfg.array_rows = 5;
   cfg.array_cols = 5;
   core::SerFlow flow(cfg);
-  const auto& model = flow.cell_model();
+  const auto& model = bench::cell_model(flow);
   core::ArrayMcConfig mc_cfg = cfg.array_mc;
   mc_cfg.strikes = 5000;
   core::ArrayMc mc(flow.layout(), model, mc_cfg);
@@ -192,7 +192,7 @@ void bm_importance_throughput(benchmark::State& state) {
   cfg.array_rows = 5;
   cfg.array_cols = 5;
   core::SerFlow flow(cfg);
-  const auto& model = flow.cell_model();
+  const auto& model = bench::cell_model(flow);
   core::ArrayMcConfig mc_cfg = cfg.array_mc;
   mc_cfg.strikes = 5000;
   mc_cfg.position = core::SourcePositionSampling::kImportance;

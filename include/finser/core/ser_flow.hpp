@@ -3,8 +3,9 @@
 /// \brief End-to-end SER estimation flow (paper Fig. 6).
 ///
 /// Orchestrates the three layers:
-///   1. cell characterization → POF LUTs (cached on disk when a cache path
-///      is configured — the paper builds its LUTs "only once" too);
+///   1. cell characterization → POF LUTs (built once per flow; campaigns
+///      cache them in the artifact store — the paper builds its LUTs "only
+///      once" too);
 ///   2. array-level 3-D MC per (species, energy bin) → POF(E);
 ///   3. FIT integration over the environmental spectrum (Eq. 8).
 ///
@@ -18,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "finser/ckpt/checkpoint.hpp"
 #include "finser/core/array_mc.hpp"
 #include "finser/core/fit.hpp"
 #include "finser/core/neutron_mc.hpp"
@@ -71,9 +71,6 @@ struct SerFlowConfig {
   double neutron_e_lo_mev = 1.0;  ///< Below ~1 MeV recoils are sub-critical.
   double neutron_e_hi_mev = 1000.0;
 
-  /// Optional POF-LUT cache file (reused when the fingerprint matches).
-  std::string lut_cache_path;
-
   std::uint64_t seed = 2024;
 
   /// Optional per-energy-bin result cache (non-owning; must outlive the
@@ -110,15 +107,12 @@ class SerFlow {
  public:
   explicit SerFlow(const SerFlowConfig& config);
 
-  /// Characterized cell model (built lazily; loaded from cache if valid).
-  /// With \p run active the characterization campaign itself is
-  /// checkpointable/cancellable: its per-voltage checkpoint lives at
-  /// `<run.checkpoint_path>.cell` so it never collides with the sweep
-  /// checkpoint. A cache-save failure degrades to a warning — the model is
-  /// already in memory and the run continues.
+  /// Characterized cell model (built lazily, once per flow, unless
+  /// set_cell_model() injected one). A fired \p cancel throws
+  /// util::Cancelled.
   const sram::CellSoftErrorModel& cell_model(
       const exec::ProgressSink& progress = {},
-      const ckpt::RunOptions& run = {});
+      const exec::CancelToken* cancel = nullptr);
 
   /// Inject a pre-built cell model (campaigns share one characterization
   /// across scenarios). The model must carry the fingerprint this flow's
@@ -146,15 +140,12 @@ class SerFlow {
   /// outer region (per-bin seeds are pre-drawn in bin order, so results
   /// are thread-count-invariant), with each bin's strike loop a region
   /// nested inside it that idle threads help.
-  /// With \p run active the sweep is checkpointable and cancellable: the
-  /// unit of work is one energy bin (blob = serialized ArrayMcResult), and
-  /// run.cancel also interrupts *inside* a bin at strike-chunk granularity.
-  /// Resuming with the same config and seed state is bit-identical to an
-  /// uninterrupted sweep at any thread count. On cancellation throws
-  /// util::Cancelled after flushing finished bins.
+  /// A fired \p cancel stops every bin at its next strike-chunk boundary
+  /// and throws util::Cancelled; with a bin_cache, the bins that finished
+  /// are already stored, so a rerun replays them.
   EnergySweepResult sweep(const env::Spectrum& spectrum,
                           const exec::ProgressSink& progress = {},
-                          const ckpt::RunOptions& run = {});
+                          const exec::CancelToken* cancel = nullptr);
 
  private:
   /// The flow-owned cluster surface (nullptr when array_mc.cluster is 1x1),

@@ -107,17 +107,88 @@ T reduce_pairwise(std::vector<T> parts, MergeFn merge) {
 
 /// Map every chunk to a partial (any schedule), then reduce the partials
 /// pairwise in chunk-index order. T must be default-constructible; \p map is
-/// (const ChunkRange&) -> T, \p merge is (T, T) -> T.
+/// (const ChunkRange&) -> T, \p merge is (T, T) -> T. A fired \p cancel
+/// stops the region at a chunk boundary and throws util::Cancelled.
 template <typename T, typename MapFn, typename MergeFn>
 T parallel_reduce(std::size_t threads, std::size_t n_items, std::size_t chunk,
-                  MapFn&& map, MergeFn&& merge) {
+                  MapFn&& map, MergeFn&& merge,
+                  const CancelToken* cancel = nullptr) {
   FINSER_REQUIRE(n_items > 0 && chunk > 0, "parallel_reduce: empty region");
   const std::size_t n_chunks = (n_items + chunk - 1) / chunk;
   std::vector<T> parts(n_chunks);
-  parallel_for_chunks(threads, n_items, chunk, [&](const ChunkRange& r) {
-    parts[r.index] = map(r);
-  });
+  if (!parallel_for_chunks(
+          threads, n_items, chunk,
+          [&](const ChunkRange& r) { parts[r.index] = map(r); }, cancel)) {
+    throw util::Cancelled("run cancelled at a chunk boundary");
+  }
   return reduce_pairwise(std::move(parts), std::forward<MergeFn>(merge));
+}
+
+/// Round schedule of run_units_adaptive(): units run in deterministic
+/// geometric rounds and the convergence predicate runs only at round
+/// boundaries — a pure function of (n_units, schedule), never of the thread
+/// schedule that executes it.
+struct AdaptiveSchedule {
+  std::size_t min_units = 8;  ///< Units before the first decision.
+  double growth = 2.0;        ///< Round-size growth factor (>= 1).
+};
+
+/// Boundaries b_0 < b_1 < ... = n_units of the adaptive rounds:
+/// b_0 = min(n_units, max(1, min_units)), b_{k+1} = min(n_units,
+/// max(b_k + 1, ceil(b_k * growth))).
+std::vector<std::size_t> round_boundaries(std::size_t n_units,
+                                          const AdaptiveSchedule& schedule);
+
+/// Result of run_units_adaptive(): the pairwise reduction of the completed
+/// unit prefix [0, completed).
+template <typename T>
+struct AdaptiveReduction {
+  T total;
+  std::size_t completed = 0;
+  bool stopped_early = false;  ///< Converged before n_units.
+};
+
+/// Adaptive parallel_reduce over \p n_units one-item units: units run round
+/// by round (round_boundaries), and after each boundary b < n_units the
+/// pairwise reduction of units [0, b) goes to \p converged; the first true
+/// stops the run. Unit u is mapped with ChunkRange{u, u, u + 1, worker}, so
+/// its identity (RNG stream, slot) never depends on the rounds, and both
+/// the decision and the returned total are reductions of the same
+/// index-ordered prefix — identical at any thread count. A fired \p cancel
+/// throws util::Cancelled at a unit boundary.
+template <typename T, typename MapFn, typename MergeFn>
+AdaptiveReduction<T> run_units_adaptive(
+    std::size_t threads, std::size_t n_units, const AdaptiveSchedule& schedule,
+    MapFn&& map, MergeFn&& merge,
+    const std::function<bool(const T&)>& converged,
+    const CancelToken* cancel = nullptr) {
+  FINSER_REQUIRE(n_units > 0, "run_units_adaptive: no work units");
+  FINSER_REQUIRE(static_cast<bool>(converged),
+                 "run_units_adaptive: convergence predicate required");
+  std::vector<T> parts(n_units);
+  AdaptiveReduction<T> out;
+  for (const std::size_t bound : round_boundaries(n_units, schedule)) {
+    const std::size_t lo = out.completed;
+    if (!parallel_for_chunks(
+            threads, bound - lo, 1,
+            [&](const ChunkRange& r) {
+              parts[r.index + lo] = map(ChunkRange{r.index + lo, r.begin + lo,
+                                                   r.end + lo, r.worker});
+            },
+            cancel)) {
+      throw util::Cancelled("run cancelled at a chunk boundary");
+    }
+    out.completed = bound;
+    if (bound < n_units &&
+        converged(reduce_pairwise(
+            std::vector<T>(parts.begin(), parts.begin() + bound), merge))) {
+      out.stopped_early = true;
+      break;
+    }
+  }
+  parts.resize(out.completed);
+  out.total = reduce_pairwise(std::move(parts), std::forward<MergeFn>(merge));
+  return out;
 }
 
 }  // namespace finser::exec

@@ -6,11 +6,11 @@
 /// LUTs → cell POF LUTs → per-(species, energy) array-MC results → FIT. Each
 /// stage's output is a pure function of a configuration subset, so it can be
 /// addressed by a 64-bit FNV-1a fingerprint of exactly those knobs
-/// (util::Fnv1a — the same digests the checkpoint layer uses) and reused by
-/// every later run or campaign scenario that shares them.
+/// (util::Fnv1a) and reused by every later run or campaign scenario that
+/// shares them. It is finser's one cache and its one resume mechanism: a
+/// run that was interrupted is resumed by running it again.
 ///
-/// The store generalizes the bespoke FNSRPOF3 POF-LUT cache into one
-/// discipline for all artifact kinds:
+/// One discipline for all artifact kinds:
 ///  * **Addressing** — key = (kind slug, fingerprint); the blob's path is a
 ///    pure function of the key, so two processes computing the same artifact
 ///    converge on the same file.
@@ -68,10 +68,11 @@ class ArtifactStore {
   /// Blob path of \p key: `<root>/<kind>-<fingerprint hex>.art`.
   std::string path_for(const ArtifactKey& key) const;
 
-  /// Atomically persist \p payload under \p key. Returns false (with the
-  /// cause in \p error if non-null) on I/O failure — the store is a cache,
-  /// so callers typically log and continue. Honors the io_write_fail and
-  /// cache_flip fault-injection sites like the POF-LUT cache does.
+  /// Atomically persist \p payload under \p key. On I/O failure prints one
+  /// `warning:` line naming the path and the cause to stderr and returns
+  /// false (the cause also in \p error if non-null) — the store is a cache,
+  /// so callers continue with the value they hold. Honors the io_write_fail,
+  /// cache_flip and kill_after_flush fault-injection sites.
   bool put(const ArtifactKey& key, const std::vector<std::uint8_t>& payload,
            std::string* error = nullptr) const;
 

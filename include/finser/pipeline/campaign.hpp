@@ -22,9 +22,10 @@
 /// round-trips bit-exactly, and a hit is indistinguishable from recomputing.
 ///
 /// A single-scenario campaign is byte-identical to driving core::SerFlow
-/// directly (the CLI's `run` path): same characterization seeds, same
-/// per-bin seed cursor discipline, same CSV formats — the CSV emitters here
-/// are the ones the CLI uses.
+/// directly: same characterization seeds, same per-bin seed cursor
+/// discipline, same CSV formats. The CLI's `run` command *is* such a
+/// campaign (single_scenario_campaign) and writes its CSVs with the
+/// emitters declared here.
 ///
 /// Campaign JSON schema (all scenario keys optional unless noted; unknown
 /// keys are rejected with a nearest-key suggestion):
@@ -74,9 +75,9 @@
 #include <string>
 #include <vector>
 
-#include "finser/ckpt/checkpoint.hpp"
 #include "finser/core/ser_flow.hpp"
 #include "finser/env/spectrum.hpp"
+#include "finser/exec/cancel.hpp"
 #include "finser/exec/progress.hpp"
 #include "finser/phys/fin_mc.hpp"
 #include "finser/pipeline/artifact_store.hpp"
@@ -90,7 +91,7 @@ class ResponseSurface;
 namespace finser::pipeline {
 
 /// One scenario: a fully resolved flow configuration plus the spectra to
-/// sweep. `flow.threads`, `flow.lut_cache_path` and `flow.bin_cache` are
+/// sweep. `flow.threads`, `flow.bin_cache` and `flow.cluster_cache` are
 /// owned by the campaign runner (thread budget, artifact store) and ignored
 /// here.
 struct ScenarioSpec {
@@ -124,8 +125,9 @@ CampaignSpec parse_campaign_file(const std::string& path);
 /// \p spec exactly (for the schema-covered fields).
 util::JsonValue campaign_to_json(const CampaignSpec& spec);
 
-/// Wrap one legacy flow configuration as a single-scenario campaign — the
-/// bridge the CLI uses so `run` and `campaign` share one engine room.
+/// Wrap one flow configuration as a single-scenario campaign — how the CLI's
+/// `run` command executes. Rejects unknown and duplicate species names
+/// (util::InvalidArgument), exactly as the campaign parser does.
 CampaignSpec single_scenario_campaign(const core::SerFlowConfig& flow,
                                       std::vector<std::string> species,
                                       std::string output_dir,
@@ -136,16 +138,15 @@ CampaignSpec single_scenario_campaign(const core::SerFlowConfig& flow,
 env::Spectrum spectrum_for_species(const std::string& name);
 
 /// Apply the execution-environment overrides to a scenario flow config:
-/// FINSER_MC_SCALE, FINSER_CI_TARGET, FINSER_CLUSTER, and clearing the
-/// legacy LUT cache path (the artifact store supersedes it). Both the
-/// campaign runner and the serve-mode refinement path resolve flows through
-/// this one helper, which is what keeps their response-surface fingerprints
-/// — and hence their cached answers — aligned.
+/// FINSER_MC_SCALE, FINSER_CI_TARGET and FINSER_CLUSTER. Every front-end
+/// (`run`, `campaign`, `serve`, shard workers) resolves flows through this
+/// one helper, exactly once, inside the campaign runner — which is what
+/// keeps their response-surface fingerprints, and hence their cached
+/// answers, aligned.
 void resolve_flow_for_execution(core::SerFlowConfig& flow);
 
 // --- CSV emitters (shared by the CLI `run` command and the campaign
-// runner, which is what makes single-scenario output byte-identity hold by
-// construction rather than by parallel maintenance). All of them read from
+// runner, so both write the same bytes by construction). All of them read from
 // a surface::ResponseSurface — the sweep overloads wrap the sweep into a
 // transient surface first, so every consumer-facing number flows through
 // the same query layer that `finser_cli serve` answers from. -----------------
@@ -261,8 +262,9 @@ std::uint64_t campaign_fingerprint(const CampaignSpec& spec);
 /// Executes a campaign as a stage graph. Characterization runs once per
 /// unique cell-model fingerprint ("pipeline.characterizations" counts real
 /// characterizations, not artifact hits or model shares); device LUTs once
-/// per unique (geometry, species); scenario sweeps run as dependent stages.
-/// Deterministic at any thread budget.
+/// per unique (geometry, species), and only when output_dir is set (their
+/// one consumer is the `eh_pairs_*.csv` file); scenario sweeps run as
+/// dependent stages. Deterministic at any thread budget.
 ///
 /// Two execution surfaces share one stage table:
 ///  * run() — the in-process path: every stage on one StageGraph.
@@ -286,12 +288,12 @@ class CampaignRunner {
 
   /// Run one stage by plan index. Dependencies need NOT have run in this
   /// process — missing inputs are reloaded from the artifact store or
-  /// recomputed (see class comment). \p threads 0 = auto. Honors
-  /// \p run.cancel (throws util::Cancelled); numerical failures propagate
-  /// as the flow's usual exceptions.
+  /// recomputed (see class comment). \p threads 0 = auto. A fired
+  /// \p cancel throws util::Cancelled; numerical failures propagate as the
+  /// flow's usual exceptions.
   void run_stage(std::size_t index, std::size_t threads,
                  const exec::ProgressSink& progress = {},
-                 const ckpt::RunOptions& run = {});
+                 const exec::CancelToken* cancel = nullptr);
 
   /// Scenario results accumulated by run() / run_stage() sweep stages, in
   /// scenario order; entries of scenarios whose sweep has not run in this
@@ -302,12 +304,12 @@ class CampaignRunner {
   /// output_dir set, writes per-scenario CSVs to
   /// `<output_dir>/<scenario>/pof_<species>.csv` and
   /// `<output_dir>/<scenario>/fit_summary.csv` plus per-campaign device
-  /// LUT curves `<output_dir>/eh_pairs_<species>.csv`. Honors
-  /// \p run.cancel at chunk granularity (throws util::Cancelled);
-  /// resumability comes from the artifact store, not checkpoint files —
-  /// a re-run after a kill reloads every finished product from artifacts.
+  /// LUT curves `<output_dir>/eh_pairs_<species>.csv`. A fired \p cancel
+  /// stops at chunk granularity (throws util::Cancelled); resuming is a
+  /// re-run: every finished product (cell model, energy bin) is reloaded
+  /// from the artifact store.
   std::vector<ScenarioResult> run(const exec::ProgressSink& progress = {},
-                                  const ckpt::RunOptions& run = {});
+                                  const exec::CancelToken* cancel = nullptr);
 
  private:
   struct Exec;  // persistent stage state (flows, store, models, results)

@@ -30,7 +30,7 @@
 #include <string>
 #include <utility>
 
-#include "finser/ckpt/checkpoint.hpp"
+#include "finser/exec/cancel.hpp"
 #include "finser/exec/progress.hpp"
 #include "finser/pipeline/artifact_store.hpp"
 #include "finser/pipeline/campaign.hpp"
@@ -60,7 +60,7 @@ class SurfaceProvider {
   /// \param threads  exec thread budget for refinement builds (0 = auto).
   SurfaceProvider(CampaignSpec spec, std::size_t threads,
                   exec::ProgressSink progress = {},
-                  ckpt::RunOptions run = {});
+                  const exec::CancelToken* cancel = nullptr);
 
   /// Scenario catalog in ServeSession's shape (names, species order,
   /// temperature).
@@ -91,7 +91,7 @@ class SurfaceProvider {
   CampaignSpec spec_;  ///< Unresolved (see ctor doc).
   std::size_t threads_ = 0;
   exec::ProgressSink progress_;
-  ckpt::RunOptions run_;
+  const exec::CancelToken* cancel_ = nullptr;
   std::optional<ArtifactStore> store_;
   /// Guards cache_ (lookup and refine run on different threads in serve).
   std::mutex cache_mu_;

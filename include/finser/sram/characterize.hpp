@@ -20,14 +20,14 @@
 /// near-boundary grid cells are independent work items, each drawing from
 /// its own counter-derived RNG stream (stats::Rng::stream), which keeps the
 /// model bit-identical for any thread count. A full 5-voltage model is a
-/// few tens of seconds on one core and is cached on disk by the benches
-/// (CellSoftErrorModel::save / try_load).
+/// few tens of seconds on one core; campaigns and the benches cache it in
+/// the artifact store (kind "cell_model", surface::encode_cell_model).
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "finser/ckpt/checkpoint.hpp"
+#include "finser/exec/cancel.hpp"
 #include "finser/exec/progress.hpp"
 #include "finser/sram/cell.hpp"
 #include "finser/sram/pof_table.hpp"
@@ -89,16 +89,12 @@ class CellCharacterizer {
   CellCharacterizer(const CellDesign& design, const CharacterizerConfig& config);
 
   /// Characterize every configured supply voltage. Voltage \p i (in sorted
-  /// order) runs under seed stats::Rng::derive_seed(config.seed, i).
-  ///
-  /// With \p run active the campaign is checkpointable: the unit of work is
-  /// one supply voltage (each checkpoint blob is a serialized PofTable), so
-  /// a cancelled or killed run resumes after its last finished voltage and
-  /// the final model is bit-identical to an uninterrupted run. Cancellation
-  /// via run.cancel also interrupts *inside* a voltage (between strike
-  /// simulations); only fully finished voltages are persisted.
-  CellSoftErrorModel characterize(const exec::ProgressSink& progress = {},
-                                  const ckpt::RunOptions& run = {}) const;
+  /// order) runs under seed stats::Rng::derive_seed(config.seed, i). A fired
+  /// \p cancel throws util::Cancelled between strike simulations; no
+  /// partial model is ever returned.
+  CellSoftErrorModel characterize(
+      const exec::ProgressSink& progress = {},
+      const exec::CancelToken* cancel = nullptr) const;
 
   /// Characterize one supply voltage under \p seed. Deterministic in
   /// (design, config, vdd_v, seed) — never in the thread count. Throws

@@ -102,8 +102,8 @@ inline constexpr double kZ95 = 1.959963984540054;
 /// Relative half-width of the 95% CI: kZ95 * se / mean. Zero mean means the
 /// accumulator has seen no POF mass at all — treated as converged (returns
 /// 0); see docs/statistics.md for why that is safe under a min_chunks floor.
-/// (The round boundaries themselves live in ckpt::round_boundaries — the
-/// checkpoint layer owns the schedule so resume replays it exactly.)
+/// (The round boundaries themselves live in exec::round_boundaries, beside
+/// the round driver that runs them.)
 double relative_halfwidth(double mean, double se);
 
 // ---------------------------------------------------------------------------

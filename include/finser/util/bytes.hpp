@@ -2,16 +2,16 @@
 /// \file bytes.hpp
 /// \brief Bounds-checked little-endian byte codec for binary artifacts.
 ///
-/// Checkpoints, POF-LUT caches and per-chunk Monte-Carlo partials share one
-/// encoding discipline: raw IEEE-754 doubles and 64-bit counters, written in
+/// Artifacts (cell models, per-bin results, surfaces) and lease records
+/// share one encoding discipline: raw IEEE-754 doubles and 64-bit counters, written in
 /// host order (finser artifacts are machine-local caches, not interchange
 /// files). The reader is bounds-checked so a truncated or corrupted payload
 /// surfaces as a typed util::Error instead of reading past the buffer —
 /// the robustness layer turns that error into "regenerate", never a crash.
 ///
 /// Round-tripping through this codec is bit-exact for doubles, which is what
-/// makes checkpoint/resume reproduce uninterrupted runs to the last bit
-/// (docs/robustness.md).
+/// makes a rerun that replays artifacts reproduce an uninterrupted run to the
+/// last bit (docs/robustness.md).
 
 #include <cstdint>
 #include <cstring>

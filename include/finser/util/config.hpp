@@ -9,6 +9,7 @@
 /// a config file that silently ignores a misspelled knob is how wrong
 /// simulation campaigns get published.
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,6 +44,9 @@ class KeyValueConfig {
   /// InvalidArgument when the value does not parse as the requested type.
   double get_double(const std::string& key, double fallback) const;
   long long get_int(const std::string& key, long long fallback) const;
+  /// A count or size: like get_int, but a value <= 0 throws
+  /// InvalidArgument naming the key and its line.
+  std::size_t get_size(const std::string& key, std::size_t fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
   std::string get_string(const std::string& key, std::string fallback) const;
 

@@ -45,9 +45,10 @@ class LogicError : public Error {
   explicit LogicError(const std::string& what) : Error(what) {}
 };
 
-/// Cooperative cancellation (SIGINT/SIGTERM or an exec::CancelToken). A run
-/// that throws this after flushing a checkpoint is resumable; the CLI maps
-/// it to exit code 4.
+/// Cooperative cancellation (SIGINT/SIGTERM or an exec::CancelToken). The
+/// products a run finished before it stopped are already in its artifact
+/// store, so rerunning the same command resumes; the CLI maps it to exit
+/// code 4.
 class Cancelled : public Error {
  public:
   explicit Cancelled(const std::string& what) : Error(what) {}

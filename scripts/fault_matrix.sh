@@ -3,9 +3,9 @@
 #
 # Runs `finser_cli run` end to end under every FINSER_FAULT site and requires
 # the *documented* degradation for each — warn-and-continue for I/O failures,
-# reject-and-regenerate for a corrupted cache, a clean exit code 3 (never a
-# crash) when the solver is driven past its retry ladder. The SIGKILL site is
-# covered separately by the KillResumeHarness ctest.
+# reject-and-regenerate for a corrupted artifact, a clean exit code 3 (never
+# a crash) when the solver is driven past its retry ladder. The SIGKILL site
+# is covered separately by the KillResumeHarness ctest.
 #
 # Usage: scripts/fault_matrix.sh [build-dir]   (default: build)
 
@@ -32,7 +32,6 @@ mc.strikes = 1000
 mc.seed = 99
 species = alpha
 output.dir = $WORK/out
-lut_cache = $WORK/out/pof_luts.bin
 EOF
 
 unset FINSER_FAULT FINSER_MC_SCALE FINSER_THREADS
@@ -59,25 +58,28 @@ run_cli "" run "$CONFIG" --threads 2
 [[ $? -eq 0 ]] || fail "baseline run exited non-zero"
 [[ -s "$WORK/out/fit_summary.csv" ]] || fail "baseline produced no fit_summary.csv"
 
-# --- io_write_fail: a failed cache/checkpoint write degrades to a warning ---
+# --- io_write_fail: a failed artifact write degrades to a warning ----------
 rm -rf "$WORK/out"
 run_cli "io_write_fail:1" run "$CONFIG" --threads 2
 [[ $? -eq 0 ]] || fail "io_write_fail run did not warn-and-continue (exit != 0)"
 grep -qi "warning" "$WORK/stdout.log" "$WORK/stderr.log" ||
   fail "io_write_fail run emitted no warning"
 
-# --- cache_flip: a corrupted LUT cache is rejected and regenerated ----------
+# --- cache_flip: a corrupted cell-model artifact is rejected and regenerated -
+# The first artifact `run` stores is its cell model, so that is the blob the
+# fault corrupts; the store's reject line for it must appear exactly once.
+MODEL_REJECT='artifact .*/cell_model-[0-9a-f]*\.art not used'
 rm -rf "$WORK/out"
 run_cli "cache_flip:40" run "$CONFIG" --threads 2
 [[ $? -eq 0 ]] || fail "cache_flip seeding run exited non-zero"
 run_cli "" run "$CONFIG" --threads 2
-[[ $? -eq 0 ]] || fail "run with corrupted cache exited non-zero"
-grep -q "re-characterizing" "$WORK/stderr.log" ||
-  fail "corrupted cache was not rejected + regenerated"
+[[ $? -eq 0 ]] || fail "run with corrupted cell model exited non-zero"
+grep -q "$MODEL_REJECT" "$WORK/stderr.log" ||
+  fail "corrupted cell model was not rejected + regenerated"
 run_cli "" run "$CONFIG" --threads 2
-[[ $? -eq 0 ]] || fail "run with regenerated cache exited non-zero"
-grep -q "re-characterizing" "$WORK/stderr.log" &&
-  fail "regenerated cache was rejected again"
+[[ $? -eq 0 ]] || fail "run with regenerated cell model exited non-zero"
+grep -q "$MODEL_REJECT" "$WORK/stderr.log" &&
+  fail "regenerated cell model was rejected again"
 
 # --- newton_diverge saturation: exit code 3, never a crash ------------------
 # Making *every* strike transient diverge must trip the failure-fraction gate

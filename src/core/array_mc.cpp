@@ -232,7 +232,7 @@ ArrayMc::ArrayMc(const sram::ArrayLayout& layout,
   }
 }
 
-/// Fingerprint of everything an ArrayMc checkpoint's content depends on.
+/// Fingerprint of everything an ArrayMc result depends on.
 /// Thread count and chunk *schedule* are excluded by construction; the chunk
 /// *size* is included because it defines the unit decomposition.
 std::uint64_t ArrayMc::point_fingerprint(const EnergyPoint& point,

@@ -13,7 +13,6 @@
 #include "finser/obs/obs.hpp"
 #include "finser/util/bytes.hpp"
 #include "finser/util/error.hpp"
-#include "finser/util/fingerprint.hpp"
 
 namespace finser::core {
 
@@ -24,44 +23,13 @@ SerFlow::SerFlow(const SerFlowConfig& config)
       mc_seed_cursor_(config.seed) {}
 
 const sram::CellSoftErrorModel& SerFlow::cell_model(
-    const exec::ProgressSink& progress, const ckpt::RunOptions& run) {
+    const exec::ProgressSink& progress, const exec::CancelToken* cancel) {
   if (model_.has_value()) return *model_;
-
   sram::CharacterizerConfig ccfg = config_.characterization;
   if (ccfg.threads == 0) ccfg.threads = config_.threads;
   const sram::CellCharacterizer characterizer(config_.cell_design, ccfg);
-  const std::uint64_t fp =
-      config_.characterization.fingerprint(config_.cell_design);
-
-  if (!config_.lut_cache_path.empty()) {
-    sram::CellSoftErrorModel cached;
-    if (sram::CellSoftErrorModel::try_load(config_.lut_cache_path, fp, cached)) {
-      FINSER_OBS_COUNT("core.lut_cache_hits", 1);
-      progress.message("POF LUTs loaded from " + config_.lut_cache_path);
-      model_ = std::move(cached);
-      return *model_;
-    }
-    FINSER_OBS_COUNT("core.lut_cache_misses", 1);
-  }
-
-  // The characterization checkpoint is a sibling of the caller's: same
-  // cancel token and interval, its own file (unit = supply voltage).
-  ckpt::RunOptions crun = run;
-  if (run.checkpointing()) crun.checkpoint_path = run.checkpoint_path + ".cell";
-
   progress.message("characterizing SRAM cell (POF LUTs)...");
-  model_ = characterizer.characterize(progress, crun);
-  if (!config_.lut_cache_path.empty()) {
-    try {
-      model_->save(config_.lut_cache_path);
-      progress.message("POF LUTs cached to " + config_.lut_cache_path);
-    } catch (const util::Error& e) {
-      // The model is already in memory — a failed cache write costs the
-      // *next* run a re-characterization, never this one.
-      progress.message(std::string("warning: POF LUT cache not written: ") +
-                       e.what());
-    }
-  }
+  model_ = characterizer.characterize(progress, cancel);
   return *model_;
 }
 
@@ -92,62 +60,10 @@ ArrayMcResult SerFlow::run_at_energy(phys::Species species, double e_mev,
   return mc.run(species, e_mev, mc_seed_cursor_++, progress);
 }
 
-namespace {
-
-/// Identity of one sweep for checkpoint validation: everything that decides
-/// the per-bin results. Thread budget and checkpoint cadence are excluded —
-/// they never change the numbers.
-std::uint64_t sweep_fingerprint(const SerFlowConfig& cfg,
-                                const sram::ArrayLayout& layout,
-                                std::uint64_t model_fp, phys::Species species,
-                                const std::vector<env::EnergyBin>& bins,
-                                const std::vector<std::uint64_t>& bin_seeds,
-                                bool neutron) {
-  util::Fnv1a h;
-  h.str("finser.ser_flow.sweep.v3");
-  h.u64(model_fp);
-  h.u64(static_cast<std::uint64_t>(species));
-  h.u64(bins.size());
-  for (const env::EnergyBin& b : bins) {
-    h.f64(b.e_rep_mev).f64(b.e_lo_mev).f64(b.e_hi_mev);
-  }
-  // Seeds encode cfg.seed plus the flow's cursor position at sweep entry.
-  for (std::uint64_t s : bin_seeds) h.u64(s);
-  if (neutron) {
-    const NeutronMcConfig& n = cfg.neutron_mc;
-    h.u64(n.histories).u64(n.chunk);
-    h.u64(static_cast<std::uint64_t>(n.angular));
-    h.u64(static_cast<std::uint64_t>(n.straggling));
-    h.f64(n.interaction_depth_um).f64(n.source_margin_nm);
-    h.f64(n.ci.target).u64(n.ci.min_chunks).f64(n.ci.growth);
-  } else {
-    const ArrayMcConfig& a = cfg.array_mc;
-    h.u64(a.strikes).u64(a.chunk);
-    h.u64(static_cast<std::uint64_t>(a.angular));
-    h.u64(static_cast<std::uint64_t>(a.position));
-    h.u64(static_cast<std::uint64_t>(a.straggling));
-    h.f64(a.beam_direction.x).f64(a.beam_direction.y).f64(a.beam_direction.z);
-    h.f64(a.source_margin_nm).f64(a.source_height_nm);
-    h.f64(a.sampling.focus_fraction).f64(a.sampling.focus_margin_nm);
-    h.f64(a.sampling.direction_bias);
-    h.u64(a.sampling.energy_strata);
-    h.u64(static_cast<std::uint64_t>(a.sampling.qmc));
-    h.f64(a.ci.target).u64(a.ci.min_chunks).f64(a.ci.growth);
-    h.u64(static_cast<std::uint64_t>(a.cluster.mode));
-    h.f64(a.cluster.share_fraction);
-    h.u64(a.cluster.pv_samples);
-    h.f64(a.cluster.quantum_fc);
-  }
-  hash_layout(h, layout);
-  return h.hash();
-}
-
-}  // namespace
-
 EnergySweepResult SerFlow::sweep(const env::Spectrum& spectrum,
                                  const exec::ProgressSink& progress,
-                                 const ckpt::RunOptions& run) {
-  const sram::CellSoftErrorModel& model = cell_model(progress, run);
+                                 const exec::CancelToken* cancel) {
+  const sram::CellSoftErrorModel& model = cell_model(progress, cancel);
 
   std::size_t bins = config_.alpha_bins;
   double e_lo = config_.alpha_e_lo_mev;
@@ -232,9 +148,6 @@ EnergySweepResult SerFlow::sweep(const env::Spectrum& spectrum,
           << "MeV";
     obs::ScopedSpan bin_span("core.energy_bin", label.str());
     FINSER_OBS_COUNT("core.energy_bins", 1);
-    // Inner engines see the cancel token only: checkpointing happens at
-    // bin granularity out here, cancellation at chunk granularity inside.
-    const ckpt::RunOptions inner_run = run.cancel_only();
     std::unique_ptr<ArrayEngine> engine;
     if (neutron) {
       engine = std::make_unique<NeutronArrayMc>(layout_, model, neutron_cfg);
@@ -270,7 +183,7 @@ EnergySweepResult SerFlow::sweep(const env::Spectrum& spectrum,
       if (!have_result) FINSER_OBS_COUNT("core.bin_cache_misses", 1);
     }
     if (!have_result) {
-      r = engine->run_point(point, bin_seeds[i], {}, inner_run);
+      r = engine->run_point(point, bin_seeds[i], {}, cancel);
       if (config_.bin_cache != nullptr) {
         config_.bin_cache->store(bin_fp, encode_result(r));
       }
@@ -283,33 +196,15 @@ EnergySweepResult SerFlow::sweep(const env::Spectrum& spectrum,
     return r;
   };
 
-  if (!run.active()) {
-    exec::parallel_for_chunks(budget, n_bins, 1,
-                              [&](const exec::ChunkRange& r) {
-                                result.per_bin[r.index] = run_bin(r.index);
-                              });
-  } else {
-    // Checkpointable sweep: one unit per energy bin, blob = the bin's
-    // serialized ArrayMcResult. Restored bins are skipped; everything else
-    // runs exactly as in the plain path, so resume is bit-identical.
-    const std::uint64_t fp =
-        sweep_fingerprint(config_, layout_, model.config_fingerprint,
-                          spectrum.species(), result.bins, bin_seeds, neutron);
-    const ckpt::UnitRunResult units = ckpt::run_units(
-        budget, n_bins, fp, run, [&](const exec::ChunkRange& u) {
-          return encode_result(run_bin(u.index));
-        });
-    if (progress && units.reused > 0) {
-      progress.message("sweep: resumed, " + std::to_string(units.reused) + "/" +
-                       std::to_string(n_bins) +
-                       " energy bin(s) restored from checkpoint");
-    }
-    for (std::size_t i = 0; i < n_bins; ++i) {
-      util::ByteReader r(units.blobs[i]);
-      result.per_bin[i] = decode_result(r);
-      FINSER_REQUIRE(r.exhausted(),
-                     "sweep: trailing bytes in checkpointed bin result");
-    }
+  // Cancellation stops the bin region at a bin boundary and the strike
+  // regions inside the running bins at a chunk boundary.
+  if (!exec::parallel_for_chunks(
+          budget, n_bins, 1,
+          [&](const exec::ChunkRange& r) {
+            result.per_bin[r.index] = run_bin(r.index);
+          },
+          cancel)) {
+    throw util::Cancelled("sweep cancelled at an energy-bin boundary");
   }
 
   // Persist the (possibly grown) cluster surface for the next run/worker.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -275,6 +276,29 @@ void parallel_for_released(
   const Releaser releaser(r);
   body = [&](const ChunkRange& c) { fn(c, releaser); };
   run_region(r);
+}
+
+std::vector<std::size_t> round_boundaries(std::size_t n_units,
+                                          const AdaptiveSchedule& schedule) {
+  FINSER_REQUIRE(n_units > 0, "round_boundaries: no work units");
+  FINSER_REQUIRE(schedule.growth >= 1.0,
+                 "round_boundaries: growth must be >= 1");
+  std::vector<std::size_t> bounds;
+  std::size_t b =
+      std::min(n_units, std::max<std::size_t>(1, schedule.min_units));
+  bounds.push_back(b);
+  while (b < n_units) {
+    const double grown = std::ceil(static_cast<double>(b) * schedule.growth);
+    std::size_t next = b + 1;
+    if (grown >= static_cast<double>(n_units)) {
+      next = n_units;
+    } else if (grown > static_cast<double>(next)) {
+      next = static_cast<std::size_t>(grown);
+    }
+    b = next;
+    bounds.push_back(b);
+  }
+  return bounds;
 }
 
 }  // namespace finser::exec

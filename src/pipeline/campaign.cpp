@@ -293,6 +293,19 @@ void check_species_name(const std::string& name, const std::string& where) {
   bad(message);
 }
 
+/// Every name known and none repeated: a repeated species would sweep twice
+/// with different seeds and emit two disagreeing rows for one species.
+void check_species_list(const std::vector<std::string>& species,
+                        const std::string& where) {
+  for (std::size_t i = 0; i < species.size(); ++i) {
+    check_species_name(species[i], where);
+    if (std::find(species.begin(), species.begin() + i, species[i]) !=
+        species.begin() + i) {
+      bad("duplicate species `" + species[i] + "` at " + where);
+    }
+  }
+}
+
 // --- scenario parsing -------------------------------------------------------
 
 ScenarioSpec parse_scenario(const util::JsonValue& obj,
@@ -457,7 +470,7 @@ ScenarioSpec parse_scenario(const util::JsonValue& obj,
 
   s.species = get_str_list(key("species"), {"alpha", "proton"}, where,
                            "species");
-  for (const std::string& name : s.species) check_species_name(name, where);
+  check_species_list(s.species, where);
   return s;
 }
 
@@ -598,7 +611,7 @@ CampaignSpec single_scenario_campaign(const core::SerFlowConfig& flow,
                                       std::vector<std::string> species,
                                       std::string output_dir,
                                       std::string name) {
-  for (const std::string& s : species) check_species_name(s, "species list");
+  check_species_list(species, "species list");
   CampaignSpec spec;
   spec.name = name;
   spec.output_dir = std::move(output_dir);
@@ -631,7 +644,6 @@ void resolve_flow_for_execution(core::SerFlowConfig& flow) {
   // FINSER_CLUSTER overrides the cluster mode the same way (--cluster sets
   // it in the environment before workers fork).
   core::apply_cluster(flow, core::cluster_mode_from_env());
-  flow.lut_cache_path.clear();  // the artifact store supersedes it
 }
 
 // --- CSV emitters -----------------------------------------------------------
@@ -890,7 +902,7 @@ struct CampaignRunner::Exec {
   std::map<std::uint64_t, sram::CellSoftErrorModel> models;
   std::vector<ScenarioResult> results;
   std::vector<std::function<void(std::size_t, const exec::ProgressSink&,
-                                 const ckpt::RunOptions&)>>
+                                 const exec::CancelToken*)>>
       fns;
 
   /// Ensure models[fp] is populated: already-materialized → no-op; else
@@ -903,7 +915,7 @@ struct CampaignRunner::Exec {
                          const sram::CharacterizerConfig& ccfg,
                          std::size_t threads,
                          const exec::ProgressSink& progress,
-                         const ckpt::RunOptions& run) {
+                         const exec::CancelToken* cancel) {
     sram::CellSoftErrorModel& slot = models.at(fp);
     if (!slot.tables.empty()) return;
     const ArtifactKey key{"cell_model", fp};
@@ -923,7 +935,8 @@ struct CampaignRunner::Exec {
     sram::CharacterizerConfig cfg = ccfg;
     if (cfg.threads == 0) cfg.threads = threads;
     const sram::CellCharacterizer characterizer(design, cfg);
-    slot = characterizer.characterize(progress, run.cancel_only());
+    progress.message("characterizing cell model " + hex8(fp) + "...");
+    slot = characterizer.characterize(progress, cancel);
     FINSER_OBS_COUNT("pipeline.characterizations", 1);
     if (store.has_value()) store->put(key, surface::encode_cell_model(slot));
   }
@@ -968,7 +981,7 @@ void CampaignRunner::ensure_exec() {
   const auto add_stage =
       [&](std::string label, std::vector<std::size_t> deps,
           std::function<void(std::size_t, const exec::ProgressSink&,
-                             const ckpt::RunOptions&)>
+                             const exec::CancelToken*)>
               fn) {
         StageInfo info;
         info.id = std::to_string(plan_.size()) + "-" + sanitize_slug(label);
@@ -992,14 +1005,16 @@ void CampaignRunner::ensure_exec() {
         "characterize " + hex8(fp), {},
         [ex, fp, design, ccfg](std::size_t threads,
                                const exec::ProgressSink& progress,
-                               const ckpt::RunOptions& run) {
-          ex->materialize_model(fp, design, ccfg, threads, progress, run);
+                               const exec::CancelToken* cancel) {
+          ex->materialize_model(fp, design, ccfg, threads, progress, cancel);
         });
   }
 
   // One device e–h-pair LUT stage per unique (fin geometry, charged
-  // species) — the paper's Fig. 4 device level, shared campaign-wide.
-  if (!spec_.output_dir.empty() || ex->store.has_value()) {
+  // species) — the paper's Fig. 4 device level, shared campaign-wide. Its
+  // only consumer is the eh_pairs CSV (array MC never reads a device LUT),
+  // so without an output_dir it is not planned at all.
+  if (!spec_.output_dir.empty()) {
     std::map<std::pair<std::uint64_t, int>, bool> lut_jobs;
     for (std::size_t i = 0; i < n; ++i) {
       for (const std::string& name : spec_.scenarios[i].species) {
@@ -1030,7 +1045,7 @@ void CampaignRunner::ensure_exec() {
             "device_lut " + name + " " + hex8(gfp), {},
             [this, ex, name, species, g, e_lo, e_hi, scale, suffix_geometry,
              gfp](std::size_t, const exec::ProgressSink&,
-                  const ckpt::RunOptions&) {
+                  const exec::CancelToken*) {
               const geom::Aabb fin_box{
                   {0.0, 0.0, 0.0}, {g.fin_w_nm, g.gate_len_nm, g.fin_h_nm}};
               phys::FinStrikeMc::Config cfg;
@@ -1040,7 +1055,6 @@ void CampaignRunner::ensure_exec() {
               const util::Grid1 lut = cached_device_lut(
                   ex->store.has_value() ? &*ex->store : nullptr, fin_box, cfg,
                   species, e_lo, e_hi, kDeviceLutPoints, kDeviceLutSeed);
-              if (spec_.output_dir.empty()) return;
               util::CsvTable table({"energy_mev", "mean_eh_pairs"});
               for (std::size_t p = 0; p < lut.x_axis().size(); ++p) {
                 table.add_row({lut.x_axis()[p], lut.values()[p]});
@@ -1062,14 +1076,14 @@ void CampaignRunner::ensure_exec() {
         "sweep " + spec_.scenarios[i].name, {model_stage.at(fp)},
         [this, ex, i, fp](std::size_t threads,
                           const exec::ProgressSink& progress,
-                          const ckpt::RunOptions& run) {
+                          const exec::CancelToken* cancel) {
           const ScenarioSpec& scenario = spec_.scenarios[i];
           // Sharded path: the characterize stage may have run in another
           // process — materialize the model here (store load, else
           // recompute). In-process runs find it already populated.
           ex->materialize_model(fp, ex->flows[i].cell_design,
                                 ex->flows[i].characterization, threads,
-                                progress, run);
+                                progress, cancel);
           core::SerFlowConfig cfg = ex->flows[i];
           cfg.threads = threads;
           cfg.bin_cache =
@@ -1095,7 +1109,7 @@ void CampaignRunner::ensure_exec() {
             const env::Spectrum spectrum = spectrum_for_species(name);
             progress.message(scenario.name + ": sweeping " + spectrum.name());
             core::EnergySweepResult sweep =
-                flow.sweep(spectrum, progress, run.cancel_only());
+                flow.sweep(spectrum, progress, cancel);
             // Every consumer-facing product below comes from the surface,
             // not the raw sweep — batch CSVs and `serve` answers are the
             // same bytes by construction (docs/serving.md).
@@ -1131,7 +1145,7 @@ const std::vector<StageInfo>& CampaignRunner::plan() {
 
 void CampaignRunner::run_stage(std::size_t index, std::size_t threads,
                                const exec::ProgressSink& progress,
-                               const ckpt::RunOptions& run) {
+                               const exec::CancelToken* cancel) {
   ensure_exec();
   FINSER_REQUIRE(index < plan_.size(),
                  "CampaignRunner::run_stage: stage index " +
@@ -1142,8 +1156,7 @@ void CampaignRunner::run_stage(std::size_t index, std::size_t threads,
   const StageInfo& info = plan_[index];
   obs::ScopedSpan span("pipeline.stage", info.label);
   if (progress) progress.message("stage: " + info.label);
-  exec_->fns[index](exec::resolve_threads(threads), progress,
-                    run.cancel_only());
+  exec_->fns[index](exec::resolve_threads(threads), progress, cancel);
 }
 
 const std::vector<ScenarioResult>& CampaignRunner::results() {
@@ -1152,15 +1165,14 @@ const std::vector<ScenarioResult>& CampaignRunner::results() {
 }
 
 std::vector<ScenarioResult> CampaignRunner::run(
-    const exec::ProgressSink& progress, const ckpt::RunOptions& run) {
+    const exec::ProgressSink& progress, const exec::CancelToken* cancel) {
   ensure_exec();
   Exec* ex = exec_.get();
   StageGraph graph;
-  const ckpt::RunOptions stage_run = run.cancel_only();
   for (std::size_t k = 0; k < plan_.size(); ++k) {
     graph.add(plan_[k].label, plan_[k].deps,
-              [ex, k, &progress, stage_run](std::size_t threads) {
-                ex->fns[k](threads, progress, stage_run);
+              [ex, k, &progress, cancel](std::size_t threads) {
+                ex->fns[k](threads, progress, cancel);
               });
   }
   graph.run(spec_.threads, progress);

@@ -41,15 +41,13 @@ struct SimSlots {
 
   /// Run one stage's region with one participant per slot. A stage that
   /// stopped early (cancel token fired) holds a partially written table —
-  /// the only safe continuation is to abandon it. Finished voltages survive
-  /// in the checkpoint; this one restarts on resume.
+  /// the only safe continuation is to abandon the model being built.
   void run(std::size_t n_items, std::size_t chunk, const exec::ChunkFn& fn,
            const exec::CancelToken* cancel) const {
     if (!exec::parallel_for_chunks(sims.size(), n_items, chunk, fn, cancel)) {
       throw util::Cancelled(
-          "characterization cancelled at a chunk boundary; the in-progress "
-          "voltage is discarded (finished voltages persist in the "
-          "checkpoint)");
+          "characterization cancelled at a chunk boundary; the model in "
+          "progress is discarded");
     }
   }
 };
@@ -859,44 +857,17 @@ PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
 }
 
 CellSoftErrorModel CellCharacterizer::characterize(
-    const exec::ProgressSink& progress, const ckpt::RunOptions& run) const {
+    const exec::ProgressSink& progress,
+    const exec::CancelToken* cancel) const {
   CellSoftErrorModel model;
   model.config_fingerprint = config_.fingerprint(design_);
   std::vector<double> vdds = config_.vdds;
   std::sort(vdds.begin(), vdds.end());
-
-  if (!run.active()) {
-    for (std::size_t v = 0; v < vdds.size(); ++v) {
-      model.tables.push_back(characterize_at(
-          vdds[v], stats::Rng::derive_seed(config_.seed, v), progress));
-    }
-    return model;
-  }
-
-  // Checkpointable campaign: the unit of work is one (sorted) supply
-  // voltage; its blob is the serialized PofTable. The voltages run one at
-  // a time — characterize_at parallelizes internally — so run_units only
-  // sequences them, skips restored ones, and flushes after finished ones.
-  const ckpt::UnitRunResult units = ckpt::run_units(
-      1, vdds.size(), model.config_fingerprint, run,
-      [&](const exec::ChunkRange& u) {
-        const PofTable t = characterize_at(
-            vdds[u.index], stats::Rng::derive_seed(config_.seed, u.index),
-            progress, run.cancel);
-        util::ByteWriter w;
-        t.write(w);
-        return w.take();
-      });
-  if (progress && units.reused > 0) {
-    progress.message("characterize: resumed, " + std::to_string(units.reused) +
-                     "/" + std::to_string(vdds.size()) +
-                     " voltage(s) restored from checkpoint");
-  }
-  for (const std::vector<std::uint8_t>& blob : units.blobs) {
-    util::ByteReader r(blob);
-    model.tables.push_back(PofTable::read(r));
-    FINSER_REQUIRE(r.exhausted(),
-                   "characterize: trailing bytes in checkpointed PofTable");
+  // One voltage at a time — characterize_at parallelizes internally and
+  // polls the cancel token between strike simulations.
+  for (std::size_t v = 0; v < vdds.size(); ++v) {
+    model.tables.push_back(characterize_at(
+        vdds[v], stats::Rng::derive_seed(config_.seed, v), progress, cancel));
   }
   return model;
 }

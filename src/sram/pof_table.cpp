@@ -2,15 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
 
 #include "finser/util/bytes.hpp"
-#include "finser/util/checksum.hpp"
 #include "finser/util/error.hpp"
-#include "finser/util/fault.hpp"
-#include "finser/util/io.hpp"
 
 namespace finser::sram {
 
@@ -120,10 +114,6 @@ std::vector<double> CellSoftErrorModel::vdds() const {
 
 namespace {
 
-// Format v3: 'FNSRPOF2' files (no CRC, no failure counters) fail the magic
-// check and are silently re-characterized — the cache is a cache.
-constexpr char kMagic[8] = {'F', 'N', 'S', 'R', 'P', 'O', 'F', '3'};
-
 void write_grid2(util::ByteWriter& w, const util::Grid2& g) {
   w.f64_vec(g.x_axis().points());
   w.f64_vec(g.y_axis().points());
@@ -222,106 +212,6 @@ std::size_t CellSoftErrorModel::failed_samples() const {
   std::size_t n = 0;
   for (const PofTable& t : tables) n += t.failed_samples;
   return n;
-}
-
-void CellSoftErrorModel::save(const std::string& path) const {
-  util::ByteWriter payload;
-  payload.u64(config_fingerprint);
-  payload.u64(tables.size());
-  for (const PofTable& t : tables) t.write(payload);
-
-  util::ByteWriter file;
-  file.bytes(kMagic, sizeof(kMagic));
-  file.bytes(payload.data().data(), payload.size());
-  file.u32(util::crc32(payload.data().data(), payload.size()));
-
-  // Fault-injection hook: corrupt one byte of the first save (cache_flip's
-  // argument is the offset) so tests can prove a flipped cache is rejected
-  // by CRC and regenerated, never loaded.
-  std::vector<std::uint8_t> bytes = file.take();
-  if (util::fault_fire(util::FaultSite::kCacheFlip)) {
-    const std::size_t off = static_cast<std::size_t>(util::fault_arg(
-                                util::FaultSite::kCacheFlip)) %
-                            bytes.size();
-    bytes[off] ^= 0x01;
-  }
-
-  std::string error;
-  if (!util::atomic_write_file(path, bytes.data(), bytes.size(), &error)) {
-    throw util::Error("CellSoftErrorModel::save: " + error);
-  }
-}
-
-CellSoftErrorModel CellSoftErrorModel::load(const std::string& path) {
-  std::vector<std::uint8_t> raw;
-  std::string io_error;
-  if (!util::read_file(path, raw, &io_error)) {
-    throw util::Error("CellSoftErrorModel::load: " + io_error);
-  }
-  if (raw.size() < sizeof(kMagic) + sizeof(std::uint32_t)) {
-    throw util::Error("CellSoftErrorModel::load: " + path +
-                      " too short to be a POF cache (" +
-                      std::to_string(raw.size()) + " bytes)");
-  }
-  if (std::memcmp(raw.data(), kMagic, sizeof(kMagic)) != 0) {
-    throw util::Error("CellSoftErrorModel::load: bad magic in " + path +
-                      " (not a format-v3 POF cache)");
-  }
-
-  // Integrity first, parsing second: the CRC over the whole payload rejects
-  // truncation and bit flips before any length field is trusted.
-  const std::size_t payload_size =
-      raw.size() - sizeof(kMagic) - sizeof(std::uint32_t);
-  const std::uint8_t* payload = raw.data() + sizeof(kMagic);
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, payload + payload_size, sizeof(stored_crc));
-  if (stored_crc != util::crc32(payload, payload_size)) {
-    throw util::Error("CellSoftErrorModel::load: CRC mismatch in " + path +
-                      " (torn or corrupted cache)");
-  }
-
-  util::ByteReader r(payload, payload_size);
-  CellSoftErrorModel model;
-  model.config_fingerprint = r.u64();
-  const std::uint64_t count = r.u64();
-  FINSER_REQUIRE(count < 1024, "CellSoftErrorModel::load: implausible table count");
-  model.tables.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    model.tables.push_back(PofTable::read(r));
-  }
-  FINSER_REQUIRE(r.exhausted(),
-                 "CellSoftErrorModel::load: trailing bytes after last table");
-  return model;
-}
-
-bool CellSoftErrorModel::try_load(const std::string& path,
-                                  std::uint64_t expected_fingerprint,
-                                  CellSoftErrorModel& out, std::string* reason) {
-  const auto reject = [&](const std::string& why) {
-    if (reason != nullptr) *reason = why;
-    std::fprintf(stderr,
-                 "[finser:sram] POF cache %s not used: %s; re-characterizing\n",
-                 path.c_str(), why.c_str());
-    return false;
-  };
-  // A missing cache is the normal first-run case — no log, no warning.
-  if (!std::filesystem::exists(path)) {
-    if (reason != nullptr) *reason = "no cache file";
-    return false;
-  }
-  try {
-    CellSoftErrorModel model = load(path);
-    if (model.config_fingerprint != expected_fingerprint) {
-      return reject("config fingerprint mismatch (stale cache)");
-    }
-    out = std::move(model);
-    return true;
-  } catch (const std::exception& e) {
-    // std::exception, not just util::Error: a corrupt length field that
-    // slipped past the CRC (or a bad_alloc from one) must also degrade to
-    // re-characterization, never crash the run.
-    return reject(e.what());
-  }
 }
 
 }  // namespace finser::sram

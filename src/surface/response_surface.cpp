@@ -282,6 +282,7 @@ sram::CellSoftErrorModel decode_cell_model(
   util::ByteReader r(blob);
   sram::CellSoftErrorModel model;
   const std::uint64_t count = r.u64();
+  FINSER_REQUIRE(count < 1024, "cell model artifact: implausible table count");
   model.tables.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     model.tables.push_back(sram::PofTable::read(r));

@@ -151,6 +151,18 @@ long long KeyValueConfig::get_int(const std::string& key, long long fallback) co
   }
 }
 
+std::size_t KeyValueConfig::get_size(const std::string& key,
+                                     std::size_t fallback) const {
+  const long long v = get_int(key, static_cast<long long>(fallback));
+  // Checked signed, before the cast: -5 must not wrap to 2^64 - 5.
+  if (v <= 0) {
+    throw InvalidArgument("config value for " + where(key, line_of(key)) +
+                          " must be a positive integer, got " +
+                          std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 bool KeyValueConfig::get_bool(const std::string& key, bool fallback) const {
   requested_[key] = true;
   const auto it = values_.find(key);

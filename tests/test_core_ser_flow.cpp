@@ -4,6 +4,8 @@
 #include <filesystem>
 
 #include "finser/core/ser_flow.hpp"
+#include "finser/pipeline/artifact_store.hpp"
+#include "finser/pipeline/campaign.hpp"
 #include "finser/util/error.hpp"
 
 namespace finser::core {
@@ -41,42 +43,44 @@ TEST(SerFlow, CellModelIsCachedInMemory) {
   EXPECT_EQ(m1.tables.size(), 1u);
 }
 
+/// The flow's on-disk model cache is the artifact store of the campaign it
+/// runs in: the first run characterizes and stores the `cell_model`
+/// artifact, the next loads it, and a config change re-characterizes.
 TEST(SerFlow, DiskCacheRoundTrip) {
-  const auto cache =
-      (std::filesystem::temp_directory_path() / "finser_flow_cache.bin").string();
-  std::filesystem::remove(cache);
+  const auto store =
+      (std::filesystem::temp_directory_path() / "finser_flow_cache").string();
+  std::filesystem::remove_all(store);
 
-  SerFlowConfig cfg = tiny_config();
-  cfg.lut_cache_path = cache;
-  bool characterized = false;
-  {
-    SerFlow flow(cfg);
-    flow.cell_model([&](const std::string& msg) {
-      if (msg.find("characterizing") != std::string::npos) characterized = true;
-    });
-    EXPECT_TRUE(characterized);
-    EXPECT_TRUE(std::filesystem::exists(cache));
-  }
-  {
-    SerFlow flow(cfg);
-    bool loaded = false;
-    flow.cell_model([&](const std::string& msg) {
-      if (msg.find("loaded from") != std::string::npos) loaded = true;
-    });
-    EXPECT_TRUE(loaded);
-  }
+  // Runs the characterize stage alone and returns its progress log.
+  const auto characterize_stage = [&](const SerFlowConfig& cfg) {
+    pipeline::CampaignSpec spec =
+        pipeline::single_scenario_campaign(cfg, {"alpha"}, "");
+    spec.artifact_dir = store;
+    pipeline::CampaignRunner runner(std::move(spec));
+    std::string log;
+    runner.run_stage(0, 0, [&](const std::string& m) { log += m + "\n"; });
+    return log;
+  };
+
+  const SerFlowConfig cfg = tiny_config();
+  const SerFlow flow(cfg);
+  const pipeline::ArtifactStore artifacts(store);
+  const std::string cold = characterize_stage(cfg);
+  EXPECT_NE(cold.find("characterizing"), std::string::npos) << cold;
+  EXPECT_TRUE(std::filesystem::exists(artifacts.path_for(
+      pipeline::ArtifactKey{"cell_model", flow.model_fingerprint()})));
+
+  const std::string warm = characterize_stage(cfg);
+  EXPECT_NE(warm.find("loaded from artifact store"), std::string::npos)
+      << warm;
+  EXPECT_EQ(warm.find("characterizing"), std::string::npos) << warm;
+
   // A config change invalidates the cache.
-  {
-    SerFlowConfig cfg2 = cfg;
-    cfg2.characterization.q_max_fc *= 1.05;
-    SerFlow flow(cfg2);
-    bool recharacterized = false;
-    flow.cell_model([&](const std::string& msg) {
-      if (msg.find("characterizing") != std::string::npos) recharacterized = true;
-    });
-    EXPECT_TRUE(recharacterized);
-  }
-  std::filesystem::remove(cache);
+  SerFlowConfig cfg2 = cfg;
+  cfg2.characterization.q_max_fc *= 1.05;
+  const std::string changed = characterize_stage(cfg2);
+  EXPECT_NE(changed.find("characterizing"), std::string::npos) << changed;
+  std::filesystem::remove_all(store);
 }
 
 TEST(SerFlow, RunAtEnergyReturnsAllVddsAndModes) {

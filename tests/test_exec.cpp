@@ -6,6 +6,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -491,6 +492,109 @@ TEST(PofAccumulator, MergedChunksEqualSinglePass) {
   for (std::size_t n = 0; n < core::kMaxMultiplicity; ++n) {
     EXPECT_NEAR(em.multiplicity[n], es.multiplicity[n], 1e-13) << n;
   }
+}
+
+// --- adaptive rounds (the CI-stopping driver of the array engines) ---------
+
+/// Units as index lists: merging concatenates, so a reduction spells out
+/// exactly which units it covers, in order.
+using Units = std::vector<std::size_t>;
+
+Units merge_units(Units a, Units b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+Units iota_units(std::size_t n) {
+  Units out(n);
+  std::iota(out.begin(), out.end(), std::size_t{0});
+  return out;
+}
+
+TEST(RoundBoundaries, GeometricScheduleEndsAtUnitCount) {
+  const AdaptiveSchedule sched{4, 2.0};
+  EXPECT_EQ(round_boundaries(100, sched),
+            (std::vector<std::size_t>{4, 8, 16, 32, 64, 100}));
+  // Boundaries always make progress, even with growth 1.
+  EXPECT_EQ(round_boundaries(4, AdaptiveSchedule{1, 1.0}),
+            (std::vector<std::size_t>{1, 2, 3, 4}));
+  // min_units above n collapses to a single round.
+  EXPECT_EQ(round_boundaries(5, AdaptiveSchedule{8, 2.0}),
+            (std::vector<std::size_t>{5}));
+  // min_units 0 still starts at one unit.
+  EXPECT_EQ(round_boundaries(3, AdaptiveSchedule{0, 3.0}),
+            (std::vector<std::size_t>{1, 3}));
+}
+
+TEST(RunUnitsAdaptive, StopsAtFirstConvergedBoundary) {
+  std::atomic<std::size_t> computed{0};
+  const AdaptiveSchedule sched{2, 2.0};  // Boundaries 2, 4, 8, 12.
+  const AdaptiveReduction<Units> out = run_units_adaptive<Units>(
+      2, 12, sched,
+      [&](const ChunkRange& u) {
+        ++computed;
+        return Units{u.index};
+      },
+      merge_units,
+      [](const Units& prefix) { return prefix.size() >= 4; });
+  EXPECT_TRUE(out.stopped_early);
+  EXPECT_EQ(out.completed, 4u);
+  EXPECT_EQ(computed.load(), 4u);  // Later rounds never ran.
+  EXPECT_EQ(out.total, iota_units(4));
+}
+
+TEST(RunUnitsAdaptive, NeverConvergedRunsEveryUnit) {
+  const AdaptiveReduction<Units> out = run_units_adaptive<Units>(
+      2, 10, AdaptiveSchedule{2, 2.0},
+      [](const ChunkRange& u) { return Units{u.index}; }, merge_units,
+      [](const Units&) { return false; });
+  EXPECT_FALSE(out.stopped_early);
+  EXPECT_EQ(out.completed, 10u);
+  EXPECT_EQ(out.total, iota_units(10));
+}
+
+TEST(RunUnitsAdaptive, PredicateSeesOnlyTheCompletedPrefixInOrder) {
+  std::vector<std::size_t> decision_points;
+  run_units_adaptive<Units>(
+      4, 20, AdaptiveSchedule{4, 2.0},
+      [](const ChunkRange& u) {
+        // Each unit is one item at its global index, whatever the round.
+        EXPECT_EQ(u.begin, u.index);
+        EXPECT_EQ(u.end, u.index + 1);
+        return Units{u.index};
+      },
+      merge_units,
+      [&](const Units& prefix) {
+        // The prefix [0, done) in index order and nothing beyond it —
+        // regardless of the thread schedule that computed the round.
+        decision_points.push_back(prefix.size());
+        EXPECT_EQ(prefix, iota_units(prefix.size()));
+        return false;
+      });
+  // Final boundary (done == n_units) needs no decision.
+  EXPECT_EQ(decision_points, (std::vector<std::size_t>{4, 8, 16}));
+}
+
+TEST(RunUnitsAdaptive, RequiresAPredicate) {
+  EXPECT_THROW(run_units_adaptive<Units>(
+                   1, 4, AdaptiveSchedule{},
+                   [](const ChunkRange& u) { return Units{u.index}; },
+                   merge_units, std::function<bool(const Units&)>{}),
+               util::InvalidArgument);
+}
+
+TEST(RunUnitsAdaptive, CancelThrowsAtARoundBoundary) {
+  CancelToken token;
+  std::atomic<std::size_t> computed{0};
+  EXPECT_THROW(run_units_adaptive<Units>(
+                   1, 16, AdaptiveSchedule{2, 2.0},
+                   [&](const ChunkRange& u) {
+                     if (++computed == 3) token.cancel();
+                     return Units{u.index};
+                   },
+                   merge_units, [](const Units&) { return false; }, &token),
+               util::Cancelled);
+  EXPECT_LT(computed.load(), 16u);
 }
 
 }  // namespace

@@ -126,7 +126,7 @@ TEST(ParallelDeterminism, CharacterizerOneVsFourThreads) {
   cfg.threads = 1;
   sram::CharacterizerConfig cfg4 = cfg;
   cfg4.threads = 4;
-  // The thread count must not enter the LUT cache fingerprint: the tables
+  // The thread count must not enter the cell-model fingerprint: the tables
   // are interchangeable by contract.
   EXPECT_EQ(cfg.fingerprint(sram::CellDesign{}),
             cfg4.fingerprint(sram::CellDesign{}));

@@ -59,6 +59,30 @@ TEST(ArtifactStore, PutThenGetRoundTrips) {
   EXPECT_EQ(out, payload_bytes());
 }
 
+/// A lost write costs only a later recompute, but it must not be silent:
+/// put() itself prints one warning naming the blob and the cause.
+TEST(ArtifactStore, FailedPutWarnsOnceOnStderr) {
+  const TempStore store("finser_art_write_fail");
+  const ArtifactKey key{"unit_test", 0x77u};
+  util::fault_configure("io_write_fail:1");
+  testing::internal::CaptureStderr();
+  std::string error;
+  const bool ok = store->put(key, payload_bytes(), &error);
+  const std::string err = testing::internal::GetCapturedStderr();
+  util::fault_configure("");
+  EXPECT_FALSE(ok);
+  EXPECT_NE(error.find("io_write_fail"), std::string::npos) << error;
+  EXPECT_NE(err.find("warning:"), std::string::npos) << err;
+  EXPECT_NE(err.find(store->path_for(key)), std::string::npos) << err;
+  EXPECT_NE(err.find(error), std::string::npos) << err;
+  EXPECT_EQ(err.find('\n'), err.size() - 1) << "one line expected: " << err;
+
+  // The fault window has passed: the next put lands and warns nothing.
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(store->put(key, payload_bytes()));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+}
+
 TEST(ArtifactStore, EmptyPayloadRoundTrips) {
   const TempStore store("finser_art_empty");
   const ArtifactKey key{"unit_test", 7};

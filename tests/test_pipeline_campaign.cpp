@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -156,6 +157,27 @@ TEST(CampaignParse, RejectsDuplicateNamesAndBadValues) {
                util::InvalidArgument);
   EXPECT_THROW(parse_campaign_text(R"({"scenarios": [{}]})"),
                util::InvalidArgument);
+  // A repeated species would sweep twice under different seeds and emit two
+  // disagreeing rows; the campaign parser and the `run` wrapper share the
+  // check, and both name the species.
+  for (const auto& reject : std::vector<std::function<void()>>{
+           [] {
+             parse_campaign_text(
+                 R"({"scenarios": [{"name": "a",
+                                    "species": ["alpha", "proton", "alpha"]}]})");
+           },
+           [] {
+             single_scenario_campaign(tiny_flow(), {"alpha", "alpha"}, "");
+           }}) {
+    try {
+      reject();
+      ADD_FAILURE() << "duplicate species accepted";
+    } catch (const util::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate species `alpha`"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CampaignParse, JsonRoundTripIsExact) {
@@ -357,7 +379,9 @@ TEST(CampaignRunner, SharedModelCharacterizesOnceAndWarmRunsFromArtifacts) {
   CampaignSpec spec;
   spec.name = "share-test";
   spec.artifact_dir = artifacts;
-  spec.output_dir = "";  // no CSVs from this test
+  // An output_dir plans the device-LUT stage, whose build/reuse is asserted
+  // below.
+  spec.output_dir = temp_dir("finser_campaign_share_out");
   const sram::DataPattern patterns[3] = {sram::DataPattern::kCheckerboard,
                                          sram::DataPattern::kAllOnes,
                                          sram::DataPattern::kAllZeros};
@@ -401,6 +425,25 @@ TEST(CampaignRunner, SharedModelCharacterizesOnceAndWarmRunsFromArtifacts) {
     expect_sweeps_equal(cold_results[i].sweeps[0], warm_results[i].sweeps[0]);
   }
   std::filesystem::remove_all(artifacts);
+  std::filesystem::remove_all(spec.output_dir);
+}
+
+/// The device-LUT stage feeds only the eh_pairs CSVs, so a campaign without
+/// an output_dir (e.g. `run`, which writes its own CSVs, or a `serve`
+/// refinement) does not plan it, store or no store.
+TEST(CampaignRunner, PlanWithoutOutputDirHasNoDeviceLutStage) {
+  CampaignSpec spec =
+      single_scenario_campaign(tiny_flow(), {"alpha", "proton"}, "");
+  spec.artifact_dir = temp_dir("finser_campaign_no_lut_store");
+  CampaignRunner runner(spec);
+  ASSERT_EQ(runner.plan().size(), 2u);  // characterize + sweep
+  for (const StageInfo& stage : runner.plan()) {
+    EXPECT_EQ(stage.label.find("device_lut"), std::string::npos)
+        << stage.label;
+  }
+  spec.output_dir = temp_dir("finser_campaign_no_lut_out");
+  CampaignRunner with_csvs(spec);
+  EXPECT_EQ(with_csvs.plan().size(), 4u);  // + one LUT per charged species
 }
 
 /// The stage plan is the sharding contract (docs/sharding.md): ids must be

@@ -5,8 +5,8 @@
 /// *byte-identical* to the polymorphic reference path — same MNA matrices,
 /// same solutions, same waveforms, same strike outcomes — on randomized
 /// device soups as well as on the real SRAM cell, including across
-/// parameter rebinds, warm solver workspaces and a kill-and-resume
-/// characterization run. These tests are the license for the compiled path
+/// parameter rebinds, warm solver workspaces and a cancelled-and-rerun
+/// characterization. These tests are the license for the compiled path
 /// to be the default engine everywhere.
 
 #include <gtest/gtest.h>
@@ -21,8 +21,9 @@
 #include <utility>
 #include <vector>
 
-#include "finser/ckpt/checkpoint.hpp"
 #include "finser/exec/cancel.hpp"
+#include "finser/pipeline/artifact_store.hpp"
+#include "finser/pipeline/campaign.hpp"
 #include "finser/spice/batch.hpp"
 #include "finser/spice/compiled.hpp"
 #include "finser/spice/dc.hpp"
@@ -33,6 +34,7 @@
 #include "finser/sram/cell.hpp"
 #include "finser/sram/characterize.hpp"
 #include "finser/stats/rng.hpp"
+#include "finser/surface/response_surface.hpp"
 #include "finser/util/bytes.hpp"
 #include "finser/util/error.hpp"
 
@@ -678,7 +680,7 @@ TEST(SpiceBatch, CharacterizeAtAgreesAcrossLaneWidths) {
 }
 
 // ---------------------------------------------------------------------------
-// Kill-and-resume through the compiled characterizer path
+// Kill-and-rerun through the compiled characterizer path
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> model_bytes(const CellSoftErrorModel& model) {
@@ -687,12 +689,7 @@ std::vector<std::uint8_t> model_bytes(const CellSoftErrorModel& model) {
   return w.take();
 }
 
-TEST(SpiceCompiled, CharacterizerResumesThroughCompiledPath) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "finser_compiled_resume.bin")
-          .string();
-  std::remove(path.c_str());
-
+CharacterizerConfig resume_config() {
   CharacterizerConfig cfg;
   cfg.vdds = {0.7, 0.9};
   cfg.pv_samples_single = 6;
@@ -701,19 +698,27 @@ TEST(SpiceCompiled, CharacterizerResumesThroughCompiledPath) {
   cfg.pv_samples_grid = 4;
   cfg.seed = 13;
   cfg.threads = 2;
-  const CellDesign design;
-  const CellCharacterizer ch(design, cfg);
+  return cfg;
+}
 
-  // Uninterrupted baseline (no checkpointing at all).
-  const CellSoftErrorModel want = ch.characterize();
+/// Characterization as every front-end runs it: the characterize stage of a
+/// single-scenario campaign on an artifact store. Cancels the first run as
+/// soon as the second voltage reports progress (util::Cancelled, nothing
+/// stored), reruns it (characterizes and stores the `cell_model` artifact),
+/// runs it a third time (replays the artifact), and returns the stored
+/// model's bytes.
+std::vector<std::uint8_t> cancel_then_rerun(const std::string& store) {
+  std::filesystem::remove_all(store);
+  core::SerFlowConfig flow;
+  flow.characterization = resume_config();
+  pipeline::CampaignSpec spec =
+      pipeline::single_scenario_campaign(flow, {"alpha"}, "");
+  spec.artifact_dir = store;
+  const pipeline::ArtifactKey key{
+      "cell_model", flow.characterization.fingerprint(flow.cell_design)};
+  const pipeline::ArtifactStore artifacts(store);
 
-  // Killed run: cancel as soon as the second voltage reports progress; the
-  // first voltage's table is already flushed to the checkpoint.
-  ckpt::RunOptions run;
-  run.checkpoint_path = path;
-  run.checkpoint_interval_sec = 0.0;
   exec::CancelToken token;
-  run.cancel = &token;
   bool saw_second = false;
   const exec::ProgressSink canceller([&](const std::string& msg) {
     if (msg.find("vdd=0.9") != std::string::npos && !saw_second) {
@@ -721,69 +726,52 @@ TEST(SpiceCompiled, CharacterizerResumesThroughCompiledPath) {
       token.cancel();
     }
   });
-  EXPECT_THROW(ch.characterize(canceller, run), util::Cancelled);
+  pipeline::CampaignRunner killed(spec);
+  EXPECT_THROW(killed.run_stage(0, 2, canceller, &token), util::Cancelled);
   EXPECT_TRUE(saw_second);
-  ASSERT_TRUE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(artifacts.path_for(key)))
+      << "a cancelled characterization must store no model";
 
-  // Resume without the token: the restored voltage is reused and the final
-  // model is byte-identical to the uninterrupted run.
-  run.cancel = nullptr;
-  const CellSoftErrorModel got = ch.characterize({}, run);
-  EXPECT_EQ(model_bytes(want), model_bytes(got));
-  EXPECT_FALSE(std::filesystem::exists(path));
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
+  pipeline::CampaignRunner rerun(spec);
+  rerun.run_stage(0, 2);
+  std::vector<std::uint8_t> blob;
+  EXPECT_TRUE(artifacts.try_get(key, blob));
+
+  std::string log;
+  pipeline::CampaignRunner replay(spec);
+  replay.run_stage(0, 2, [&](const std::string& m) { log += m + "\n"; });
+  EXPECT_NE(log.find("loaded from artifact store"), std::string::npos) << log;
+  EXPECT_EQ(log.find("characterizing"), std::string::npos) << log;
+
+  std::filesystem::remove_all(store);
+  return blob.empty() ? blob
+                      : model_bytes(surface::decode_cell_model(blob, key.fingerprint));
 }
 
-// Same contract with the lane-batched engine forced on: a killed batched run
-// resumes to the byte-identical model — and that model equals a scalar
-// (width 1) uninterrupted run, so a resume may even change lane width.
+TEST(SpiceCompiled, CharacterizerResumesThroughCompiledPath) {
+  // Uninterrupted baseline, no store at all.
+  const CellSoftErrorModel want =
+      CellCharacterizer(CellDesign{}, resume_config()).characterize();
+  EXPECT_EQ(model_bytes(want),
+            cancel_then_rerun((std::filesystem::temp_directory_path() /
+                               "finser_compiled_resume")
+                                  .string()));
+}
+
+// Same contract with the lane-batched engine forced on: a cancelled batched
+// run reruns to the byte-identical model — and that model equals a scalar
+// (width 1) uninterrupted run, so a rerun may even change lane width.
 TEST(SpiceBatch, CharacterizerResumesThroughBatchedPath) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "finser_batched_resume.bin")
-          .string();
-  std::remove(path.c_str());
-
-  CharacterizerConfig cfg;
-  cfg.vdds = {0.7, 0.9};
-  cfg.pv_samples_single = 6;
-  cfg.pair_grid_points = 6;
-  cfg.triple_grid_points = 6;
-  cfg.pv_samples_grid = 4;
-  cfg.seed = 13;
-  cfg.threads = 2;
-  const CellDesign design;
-  const CellCharacterizer ch(design, cfg);
-
   std::vector<std::uint8_t> want;
   {
     LaneWidthGuard scalar(1);
-    want = model_bytes(ch.characterize());
+    want = model_bytes(
+        CellCharacterizer(CellDesign{}, resume_config()).characterize());
   }
-
   LaneWidthGuard batched(4);
-  ckpt::RunOptions run;
-  run.checkpoint_path = path;
-  run.checkpoint_interval_sec = 0.0;
-  exec::CancelToken token;
-  run.cancel = &token;
-  bool saw_second = false;
-  const exec::ProgressSink canceller([&](const std::string& msg) {
-    if (msg.find("vdd=0.9") != std::string::npos && !saw_second) {
-      saw_second = true;
-      token.cancel();
-    }
-  });
-  EXPECT_THROW(ch.characterize(canceller, run), util::Cancelled);
-  EXPECT_TRUE(saw_second);
-  ASSERT_TRUE(std::filesystem::exists(path));
-
-  run.cancel = nullptr;
-  const CellSoftErrorModel got = ch.characterize({}, run);
-  EXPECT_EQ(want, model_bytes(got));
-  EXPECT_FALSE(std::filesystem::exists(path));
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
+  EXPECT_EQ(want, cancel_then_rerun((std::filesystem::temp_directory_path() /
+                                     "finser_batched_resume")
+                                        .string()));
 }
 
 }  // namespace

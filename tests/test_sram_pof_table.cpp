@@ -6,7 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "finser/pipeline/artifact_store.hpp"
 #include "finser/sram/pof_table.hpp"
+#include "finser/surface/response_surface.hpp"
 #include "finser/util/error.hpp"
 #include "finser/util/fault.hpp"
 #include "finser/util/io.hpp"
@@ -135,17 +137,42 @@ TEST(Model, VddLookup) {
   EXPECT_DOUBLE_EQ(vs[0], 0.7);
 }
 
+// --- persistence: a model is stored as its "cell_model" artifact ---------
+
+pipeline::ArtifactKey model_key(std::uint64_t fingerprint) {
+  return pipeline::ArtifactKey{"cell_model", fingerprint};
+}
+
+bool store_model(const pipeline::ArtifactStore& store,
+                 const CellSoftErrorModel& m) {
+  return store.put(model_key(m.config_fingerprint),
+                   surface::encode_cell_model(m));
+}
+
+bool load_model(const pipeline::ArtifactStore& store, std::uint64_t fp,
+                CellSoftErrorModel& out, std::string* reason = nullptr) {
+  std::vector<std::uint8_t> blob;
+  if (!store.try_get(model_key(fp), blob, reason)) return false;
+  out = surface::decode_cell_model(blob, fp);
+  return true;
+}
+
+std::string temp_store(const char* name) {
+  const auto dir = std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  return dir.string();
+}
+
 TEST(Model, SerializationRoundTrip) {
   CellSoftErrorModel m;
   m.config_fingerprint = 0xDEADBEEFCAFEull;
   m.tables.push_back(synthetic_table(0.7));
   m.tables.push_back(synthetic_table(1.1));
 
-  const auto path =
-      (std::filesystem::temp_directory_path() / "finser_pof_roundtrip.bin")
-          .string();
-  m.save(path);
-  const CellSoftErrorModel r = CellSoftErrorModel::load(path);
+  const pipeline::ArtifactStore store(temp_store("finser_pof_roundtrip"));
+  ASSERT_TRUE(store_model(store, m));
+  CellSoftErrorModel r;
+  ASSERT_TRUE(load_model(store, m.config_fingerprint, r));
   EXPECT_EQ(r.config_fingerprint, m.config_fingerprint);
   ASSERT_EQ(r.tables.size(), 2u);
   EXPECT_DOUBLE_EQ(r.tables[1].vdd_v, 1.1);
@@ -157,75 +184,82 @@ TEST(Model, SerializationRoundTrip) {
     EXPECT_DOUBLE_EQ(r.tables[0].pof(c, true), m.tables[0].pof(c, true));
     EXPECT_DOUBLE_EQ(r.tables[0].pof(c, false), m.tables[0].pof(c, false));
   }
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(store.root());
 }
 
 TEST(Model, TryLoadValidatesFingerprint) {
   CellSoftErrorModel m;
   m.config_fingerprint = 111;
   m.tables.push_back(synthetic_table(0.8));
-  const auto path =
-      (std::filesystem::temp_directory_path() / "finser_pof_fp.bin").string();
-  m.save(path);
+  const pipeline::ArtifactStore store(temp_store("finser_pof_fp"));
+  ASSERT_TRUE(store_model(store, m));
 
   CellSoftErrorModel out;
-  EXPECT_TRUE(CellSoftErrorModel::try_load(path, 111, out));
+  EXPECT_TRUE(load_model(store, 111, out));
   EXPECT_EQ(out.tables.size(), 1u);
-  EXPECT_FALSE(CellSoftErrorModel::try_load(path, 222, out));
-  EXPECT_FALSE(CellSoftErrorModel::try_load("/nonexistent/file.bin", 111, out));
-  std::filesystem::remove(path);
+  EXPECT_FALSE(load_model(store, 222, out));
+  EXPECT_FALSE(load_model(pipeline::ArtifactStore("/nonexistent/store"), 111,
+                          out));
+  std::filesystem::remove_all(store.root());
 }
 
 TEST(Model, LoadRejectsCorruptFile) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "finser_pof_bad.bin").string();
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a pof file at all", f);
-    std::fclose(f);
-  }
-  EXPECT_THROW(CellSoftErrorModel::load(path), util::Error);
-  std::filesystem::remove(path);
+  const pipeline::ArtifactStore store(temp_store("finser_pof_bad"));
+  const std::string garbage = "not a pof file at all";
+  ASSERT_TRUE(util::atomic_write_file(store.path_for(model_key(7)),
+                                      garbage.data(), garbage.size()));
+  CellSoftErrorModel out;
+  std::string reason;
+  EXPECT_FALSE(load_model(store, 7, out, &reason));
+  EXPECT_NE(reason.find("magic"), std::string::npos) << reason;
+  // The same bytes as a payload behind a valid envelope fail the decoder.
+  EXPECT_THROW(surface::decode_cell_model(
+                   std::vector<std::uint8_t>(garbage.begin(), garbage.end()),
+                   7),
+               util::Error);
+  std::filesystem::remove_all(store.root());
 }
 
 TEST(Model, LoadRejectsMissingFile) {
-  EXPECT_THROW(CellSoftErrorModel::load("/nonexistent/nope.bin"), util::Error);
+  CellSoftErrorModel out;
+  std::string reason;
+  EXPECT_FALSE(load_model(pipeline::ArtifactStore("/nonexistent/nope"), 7,
+                          out, &reason));
+  EXPECT_EQ(reason, "no artifact");
 }
 
 TEST(Model, LoadRejectsTruncatedFile) {
   CellSoftErrorModel m;
   m.config_fingerprint = 7;
   m.tables.push_back(synthetic_table(0.8));
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto full = (dir / "finser_pof_full.bin").string();
-  const auto cut = (dir / "finser_pof_cut.bin").string();
-  m.save(full);
+  const pipeline::ArtifactStore store(temp_store("finser_pof_cut"));
+  ASSERT_TRUE(store_model(store, m));
+  const std::string path = store.path_for(model_key(7));
+  std::vector<std::uint8_t> full;
+  ASSERT_TRUE(util::read_file(path, full, nullptr));
 
-  // Truncate at several points: every cut must throw, never crash or
+  // Truncate at several points: every cut must be rejected, never crash or
   // silently return a partial model.
-  const auto size = std::filesystem::file_size(full);
   for (const double frac : {0.3, 0.6, 0.9}) {
-    std::filesystem::copy_file(full, cut,
-                               std::filesystem::copy_options::overwrite_existing);
-    std::filesystem::resize_file(
-        cut, static_cast<std::uintmax_t>(frac * static_cast<double>(size)));
-    EXPECT_THROW(CellSoftErrorModel::load(cut), util::Error) << frac;
+    const auto n =
+        static_cast<std::size_t>(frac * static_cast<double>(full.size()));
+    ASSERT_TRUE(util::atomic_write_file(path, full.data(), n));
+    CellSoftErrorModel out;
+    EXPECT_FALSE(load_model(store, 7, out)) << frac;
   }
-  std::filesystem::remove(full);
-  std::filesystem::remove(cut);
+  std::filesystem::remove_all(store.root());
 }
 
 TEST(Model, TryLoadRejectsBitFlipWithCrcReason) {
   CellSoftErrorModel m;
   m.config_fingerprint = 13;
   m.tables.push_back(synthetic_table(0.8));
-  const auto path =
-      (std::filesystem::temp_directory_path() / "finser_pof_flip.bin").string();
-  m.save(path);
+  const pipeline::ArtifactStore store(temp_store("finser_pof_flip"));
+  ASSERT_TRUE(store_model(store, m));
 
-  // Flip one payload byte: try_load must reject by CRC, never throw, and
+  // Flip one payload byte: the load must reject by CRC, never throw, and
   // report why.
+  const std::string path = store.path_for(model_key(13));
   std::vector<std::uint8_t> raw;
   ASSERT_TRUE(util::read_file(path, raw, nullptr));
   raw[raw.size() / 2] ^= 0x01;
@@ -233,34 +267,33 @@ TEST(Model, TryLoadRejectsBitFlipWithCrcReason) {
 
   CellSoftErrorModel out;
   std::string reason;
-  EXPECT_FALSE(CellSoftErrorModel::try_load(path, 13, out, &reason));
+  EXPECT_FALSE(load_model(store, 13, out, &reason));
   EXPECT_NE(reason.find("CRC"), std::string::npos) << reason;
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(store.root());
 }
 
 TEST(Model, CacheFlipFaultForcesRegeneration) {
   CellSoftErrorModel m;
   m.config_fingerprint = 42;
   m.tables.push_back(synthetic_table(0.8));
-  const auto path =
-      (std::filesystem::temp_directory_path() / "finser_pof_fault.bin").string();
+  const pipeline::ArtifactStore store(temp_store("finser_pof_fault"));
 
-  // First save lands corrupted (byte 25 of the file XOR-flipped by the
-  // injected fault): the cache must be rejected, not loaded.
+  // First put lands corrupted (byte 25 of the blob XOR-flipped by the
+  // injected fault): the stored model must be rejected, not loaded.
   util::fault_configure("cache_flip:25");
-  m.save(path);
+  ASSERT_TRUE(store_model(store, m));
   CellSoftErrorModel out;
   std::string reason;
-  EXPECT_FALSE(CellSoftErrorModel::try_load(path, 42, out, &reason));
+  EXPECT_FALSE(load_model(store, 42, out, &reason));
   EXPECT_FALSE(reason.empty());
 
-  // The re-characterized model saves again; the fault window has passed, so
-  // the regenerated cache is intact and loads.
-  m.save(path);
+  // The re-characterized model is stored again; the fault window has
+  // passed, so the regenerated artifact is intact and loads.
+  ASSERT_TRUE(store_model(store, m));
   util::fault_configure("");
-  EXPECT_TRUE(CellSoftErrorModel::try_load(path, 42, out, &reason)) << reason;
+  EXPECT_TRUE(load_model(store, 42, out, &reason)) << reason;
   EXPECT_EQ(out.config_fingerprint, 42u);
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(store.root());
 }
 
 TEST(Model, SaveCreatesParentDirectories) {
@@ -268,9 +301,9 @@ TEST(Model, SaveCreatesParentDirectories) {
   std::filesystem::remove_all(dir);
   CellSoftErrorModel m;
   m.tables.push_back(synthetic_table(0.8));
-  const auto path = (dir / "deep" / "cache.bin").string();
-  m.save(path);
-  EXPECT_TRUE(std::filesystem::exists(path));
+  const pipeline::ArtifactStore store((dir / "deep" / "store").string());
+  ASSERT_TRUE(store_model(store, m));
+  EXPECT_TRUE(std::filesystem::exists(store.path_for(model_key(0))));
   std::filesystem::remove_all(dir);
 }
 

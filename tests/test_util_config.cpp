@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "finser/util/config.hpp"
 #include "finser/util/error.hpp"
@@ -82,6 +84,29 @@ TEST(Config, ErrorsNameKeyAndSourceLine) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("beta"), std::string::npos) << msg;
     EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+  }
+}
+
+/// Counts and sizes (array.rows, mc.strikes, ...) must be positive; the
+/// signed value is checked before any cast, so -5 cannot wrap to 2^64 - 5.
+TEST(Config, SizesMustBePositive) {
+  const auto cfg = KeyValueConfig::parse(
+      "mc.strikes = -5\n"
+      "mc.pv_samples = 0\n"
+      "array.rows = 3\n");
+  EXPECT_EQ(cfg.get_size("array.rows", 9), 3u);
+  EXPECT_EQ(cfg.get_size("array.cols", 9), 9u);  // absent: the fallback
+  for (const auto& [key, line] :
+       {std::pair{"mc.strikes", "line 1"}, std::pair{"mc.pv_samples", "line 2"}}) {
+    try {
+      cfg.get_size(key, 200);
+      FAIL() << "expected InvalidArgument for " << key;
+    } catch (const InvalidArgument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(key), std::string::npos) << msg;
+      EXPECT_NE(msg.find(line), std::string::npos) << msg;
+      EXPECT_NE(msg.find("positive"), std::string::npos) << msg;
+    }
   }
 }
 

@@ -30,7 +30,11 @@
 ///                             # and FINSER_CI_TARGET override)
 ///   species = alpha, proton, neutron
 ///   output.dir = finser_out
-///   lut_cache = finser_out/pof_luts.bin
+///
+/// `run` is a single-scenario campaign: it writes pof_<species>.csv and
+/// fit_summary.csv to output.dir and keeps its artifact store (cell model,
+/// energy bins) in output.dir/artifacts. An interrupted run exits 4;
+/// rerunning the same command replays every finished artifact.
 
 #include <chrono>
 #include <cstdio>
@@ -43,7 +47,6 @@
 
 #include <unistd.h>
 
-#include "finser/ckpt/checkpoint.hpp"
 #include "finser/core/ser_flow.hpp"
 #include "finser/exec/cancel.hpp"
 #include "finser/exec/exec.hpp"
@@ -69,7 +72,10 @@ using namespace finser;
 void print_help() {
   std::printf(
       "finser_cli — cross-layer SOI FinFET SRAM soft-error analysis\n\n"
-      "  finser_cli run [config.ini]       full characterization + sweeps\n"
+      "  finser_cli run [config.ini]       full characterization + sweeps (a\n"
+      "                                    single-scenario campaign; its\n"
+      "                                    artifact store is <output.dir>/\n"
+      "                                    artifacts, so rerunning resumes)\n"
       "  finser_cli campaign <file.json>   multi-scenario campaign; shared\n"
       "                                    characterization and artifact cache\n"
       "                                    (schema: docs/architecture.md)\n"
@@ -110,12 +116,6 @@ void print_help() {
       "                 the widest compiled vector unit), 1 = scalar\n"
       "                 reference, 4 or 8 = batched; never changes the\n"
       "                 results (docs/spice.md)\n"
-      "  --resume PATH  checkpoint file stem for `run`: progress is saved\n"
-      "                 there periodically and on SIGINT/SIGTERM, and a\n"
-      "                 matching checkpoint found at start is resumed —\n"
-      "                 results are bit-identical to an uninterrupted run\n"
-      "  --checkpoint-interval SEC  seconds between periodic checkpoint\n"
-      "                 flushes (default 30; 0 = after every work unit)\n"
       "  --metrics-out PATH  enable metric collection and write a versioned\n"
       "                 JSON RunReport there at exit (docs/observability.md);\n"
       "                 FINSER_METRICS=<path> is an equivalent default\n"
@@ -143,7 +143,8 @@ void print_help() {
       "  1  unexpected error\n"
       "  2  invalid configuration or command line\n"
       "  3  numerical failure (solver gave up after its retry ladder)\n"
-      "  4  interrupted, progress checkpointed (rerun to resume)\n"
+      "  4  interrupted; finished artifacts are stored (rerun the same\n"
+      "     command to resume)\n"
       "  5  partial: sharded campaign completed with quarantined stages\n"
       "     (details in the run report's \"shard\" section)\n"
       "  6  degraded: `serve` drained, but at least one request was shed,\n"
@@ -166,22 +167,20 @@ std::vector<std::string> split_list(const std::string& csv) {
 core::SerFlowConfig flow_config_from(const util::KeyValueConfig& cfg,
                                      std::size_t cli_threads) {
   core::SerFlowConfig flow;
-  flow.array_rows = static_cast<std::size_t>(cfg.get_int("array.rows", 9));
-  flow.array_cols = static_cast<std::size_t>(cfg.get_int("array.cols", 9));
+  flow.array_rows = cfg.get_size("array.rows", 9);
+  flow.array_cols = cfg.get_size("array.cols", 9);
   flow.characterization.vdds =
       cfg.get_double_list("cell.vdds", {0.7, 0.8, 0.9, 1.0, 1.1});
   flow.cell_design.sigma_vt = cfg.get_double("cell.sigma_vt", 0.05);
   flow.cell_design.cnode_f = cfg.get_double("cell.cnode_ff", 0.17) * 1e-15;
-  flow.characterization.pv_samples_single =
-      static_cast<std::size_t>(cfg.get_int("mc.pv_samples", 200));
-  flow.array_mc.strikes = static_cast<std::size_t>(cfg.get_int("mc.strikes", 60000));
+  flow.characterization.pv_samples_single = cfg.get_size("mc.pv_samples", 200);
+  flow.array_mc.strikes = cfg.get_size("mc.strikes", 60000);
   flow.neutron_mc.histories = flow.array_mc.strikes;
   flow.seed = static_cast<std::uint64_t>(cfg.get_int("mc.seed", 20140601));
   // CLI --threads wins over the config key; both 0 = auto.
   flow.threads = cli_threads > 0
                      ? cli_threads
                      : static_cast<std::size_t>(cfg.get_int("mc.threads", 0));
-  flow.lut_cache_path = cfg.get_string("lut_cache", "");
   const double ini_ci = cfg.get_double("mc.ci_target", 0.0);
   if (ini_ci < 0.0) {
     throw util::InvalidArgument("mc.ci_target must be >= 0 (0 disables "
@@ -189,14 +188,13 @@ core::SerFlowConfig flow_config_from(const util::KeyValueConfig& cfg,
   }
   flow.array_mc.ci.target = ini_ci;
   flow.neutron_mc.ci.target = ini_ci;
-  core::apply_mc_scale(flow, core::mc_scale_from_env());
-  core::apply_ci_target(flow, core::ci_target_from_env());
-  core::apply_cluster(flow, core::cluster_mode_from_env());
+  // FINSER_MC_SCALE / FINSER_CI_TARGET / FINSER_CLUSTER are applied once,
+  // by the campaign runner (resolve_flow_for_execution), so this config —
+  // and the document --print-config prints from it — stays unscaled.
   return flow;
 }
 
 int cmd_run(const std::string& config_path, std::size_t cli_threads,
-            const std::string& ckpt_path, double ckpt_interval,
             const std::string& metrics_out, const std::string& trace_out,
             bool print_config, const exec::CancelToken& cancel) {
   util::KeyValueConfig cfg;
@@ -206,11 +204,7 @@ int cmd_run(const std::string& config_path, std::size_t cli_threads,
   const std::string out_dir = cfg.get_string("output.dir", "finser_out");
   const std::vector<std::string> species =
       split_list(cfg.get_string("species", "alpha,proton"));
-
-  core::SerFlowConfig flow_cfg = flow_config_from(cfg, cli_threads);
-  if (flow_cfg.lut_cache_path.empty()) {
-    flow_cfg.lut_cache_path = out_dir + "/pof_luts.bin";
-  }
+  const core::SerFlowConfig flow_cfg = flow_config_from(cfg, cli_threads);
 
   // Fail loudly on config typos before hours of Monte Carlo. The getters
   // above recorded every supported knob, so misspellings get a suggestion.
@@ -227,45 +221,34 @@ int cmd_run(const std::string& config_path, std::size_t cli_threads,
     return 2;
   }
 
+  // The CSVs below are written here, at the top of out_dir, so the runner
+  // gets no output_dir: no per-scenario subdirectory, no device-LUT stage.
+  pipeline::CampaignSpec spec =
+      pipeline::single_scenario_campaign(flow_cfg, species, "", "run");
+  spec.artifact_dir = out_dir + "/artifacts";
+
   if (print_config) {
     // The fully resolved effective configuration, as a single-scenario
     // campaign document — pasteable into `finser_cli campaign` and exact:
     // it round-trips through the campaign parser unchanged.
-    const pipeline::CampaignSpec spec =
-        pipeline::single_scenario_campaign(flow_cfg, species, out_dir, "run");
+    spec.output_dir = out_dir;
     std::printf("%s\n", pipeline::campaign_to_json(spec).dump(2).c_str());
     return 0;
   }
 
-  core::SerFlow flow(flow_cfg);
   const exec::ProgressSink progress(
       [](const std::string& m) { std::printf("  [%s]\n", m.c_str()); },
       std::chrono::milliseconds(250));
-
-  // One RunOptions per sweep: the checkpoint stem gets a per-species suffix
-  // so consecutive sweeps never clobber each other's progress. The cancel
-  // token is always armed — Ctrl-C stops cleanly even without --resume.
-  const auto run_opts_for = [&](const std::string& suffix) {
-    ckpt::RunOptions run;
-    if (!ckpt_path.empty()) {
-      run.checkpoint_path = suffix.empty() ? ckpt_path : ckpt_path + "." + suffix;
-      run.checkpoint_interval_sec = ckpt_interval;
-    }
-    run.cancel = &cancel;
-    return run;
-  };
-  // Characterization checkpoints at "<stem>.cell" (cell_model adds the
-  // suffix); by the time the sweeps run, the model is already in memory.
-  flow.cell_model(progress, run_opts_for(""));
+  pipeline::CampaignRunner runner(std::move(spec));
+  const std::vector<pipeline::ScenarioResult> results =
+      runner.run(progress, &cancel);
 
   util::CsvTable fit_table = pipeline::make_fit_table();
-  for (const std::string& name : species) {
-    const env::Spectrum spectrum = pipeline::spectrum_for_species(name);
-    std::printf("sweeping %s...\n", spectrum.name().c_str());
-    const auto result = flow.sweep(spectrum, progress, run_opts_for(name));
-    pipeline::pof_csv(result).write_csv_file(out_dir + "/pof_" + name +
-                                             ".csv");
-    pipeline::append_fit_rows(fit_table, name, result);
+  for (std::size_t s = 0; s < species.size(); ++s) {
+    const core::EnergySweepResult& sweep = results[0].sweeps[s];
+    pipeline::pof_csv(sweep).write_csv_file(out_dir + "/pof_" + species[s] +
+                                            ".csv");
+    pipeline::append_fit_rows(fit_table, species[s], sweep);
   }
   fit_table.write_csv_file(out_dir + "/fit_summary.csv");
   std::printf("\n");
@@ -400,11 +383,8 @@ int cmd_campaign(const std::string& campaign_path, std::size_t cli_threads,
       std::chrono::milliseconds(250));
   // Campaign resumability lives in the artifact store (every finished
   // product is cached content-addressed), so only the cancel token rides in.
-  ckpt::RunOptions run;
-  run.cancel = &cancel;
-
   pipeline::CampaignRunner runner(spec);
-  const auto results = runner.run(progress, run);
+  const auto results = runner.run(progress, &cancel);
 
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& scenario = results[i];
@@ -486,11 +466,8 @@ int cmd_serve(const std::string& campaign_path, std::size_t cli_threads,
   const exec::ProgressSink progress(
       [](const std::string& m) { std::fprintf(stderr, "  [%s]\n", m.c_str()); },
       std::chrono::milliseconds(250));
-  ckpt::RunOptions run;
-  run.cancel = &cancel;
-
   pipeline::SurfaceProvider provider(std::move(spec), cli_threads, progress,
-                                     run);
+                                     &cancel);
   surface::ServeConfig scfg;
   scfg.max_pending = max_pending;
   surface::ServeSession session(
@@ -578,8 +555,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> args;
     std::size_t threads = 0;
     bool lanes_given = false;
-    std::string ckpt_path;
-    double ckpt_interval = 30.0;
     // FINSER_METRICS turns collection on; a path-like value (anything but
     // "0"/"1") doubles as the default --metrics-out destination.
     std::string metrics_out = finser::obs::configure_from_env();
@@ -603,8 +578,7 @@ int main(int argc, char** argv) {
         print_config = true;
         continue;
       }
-      if (a == "--threads" || a == "--lanes" || a == "--resume" ||
-          a == "--checkpoint-interval" || a == "--metrics-out" ||
+      if (a == "--threads" || a == "--lanes" || a == "--metrics-out" ||
           a == "--trace-out" || a == "--workers" || a == "--max-retries" ||
           a == "--stage-timeout-s" || a == "--heartbeat-timeout-s" ||
           a == "--worker-id" || a == "--lease-dir" || a == "--artifact-dir" ||
@@ -614,10 +588,6 @@ int main(int argc, char** argv) {
           return 2;
         }
         const char* raw = argv[++i];
-        if (a == "--resume") {
-          ckpt_path = raw;
-          continue;
-        }
         if (a == "--metrics-out") {
           metrics_out = raw;
           finser::obs::set_enabled(true);
@@ -722,7 +692,7 @@ int main(int argc, char** argv) {
             return 2;
           }
           threads = static_cast<std::size_t>(v);
-        } else if (a == "--lanes") {
+        } else {
           const long v = std::strtol(raw, &end, 10);
           if (end == raw || *end != '\0' || v < 0 ||
               !spice::lane_width_valid(static_cast<std::size_t>(v))) {
@@ -735,16 +705,6 @@ int main(int argc, char** argv) {
           // Applies process-wide immediately: every engine below sees it.
           spice::set_lane_width(static_cast<std::size_t>(v));
           lanes_given = true;
-        } else {
-          const double v = std::strtod(raw, &end);
-          if (end == raw || *end != '\0' || v < 0.0) {
-            std::fprintf(stderr,
-                         "error: --checkpoint-interval expects seconds >= 0, "
-                         "got \"%s\"\n",
-                         raw);
-            return 2;
-          }
-          ckpt_interval = v;
         }
       } else {
         args.push_back(a);
@@ -760,9 +720,8 @@ int main(int argc, char** argv) {
                      "--print-config)\n");
         return 2;
       }
-      return cmd_run(args.size() > 1 ? args[1] : "", threads, ckpt_path,
-                     ckpt_interval, metrics_out, trace_out, print_config,
-                     cancel);
+      return cmd_run(args.size() > 1 ? args[1] : "", threads, metrics_out,
+                     trace_out, print_config, cancel);
     }
     if (cmd == "campaign") {
       if (args.size() < 2) {

@@ -1,32 +1,34 @@
 /// \file kill_resume_harness.cpp
-/// \brief End-to-end crash test: SIGKILL a checkpointed sweep mid-run, resume
-/// it, and require the result bytes to match an uninterrupted reference.
+/// \brief End-to-end crash test: SIGKILL a run mid-sweep, rerun it, and
+/// require the result bytes to match an uninterrupted reference.
 ///
 /// Two modes share this binary:
 ///
-///   * default (ctest KillResumeHarness) — SIGKILL a checkpointed sweep in
-///     this process tree and resume it, per the plan below.
+///   * default (ctest KillResumeHarness) — SIGKILL a single-scenario
+///     campaign (what `finser_cli run` executes) right after an artifact
+///     lands in its store, rerun it against the same store, per the plan
+///     below.
 ///   * `campaign <finser_cli>` (ctest KillResumeCampaign) — SIGKILL the
 ///     *supervisor* of a sharded campaign right after its first durable done
 ///     marker lands, let the orphaned workers self-terminate, re-run the
 ///     identical command, and require every CSV to match an uninterrupted
 ///     in-process reference byte-for-byte (docs/sharding.md).
 ///
-/// Registered as a ctest (KillResumeHarness). The driver process forks three
-/// children per thread count (1 and 4):
+/// The default driver forks three children per leg and thread count (1 and
+/// 4), each running the alpha sweep of one small campaign:
 ///
-///   1. reference — plain sweep, no checkpointing; writes ref<t>.bin and, on
-///      the first run, the shared POF-LUT cache (so later children skip the
-///      expensive characterization).
-///   2. victim    — checkpointed sweep with FINSER_FAULT=kill_after_flush:2:
-///      the process raises SIGKILL right after the 2nd checkpoint flush
-///      lands on disk. The driver asserts it died by exactly that signal.
-///   3. resume    — same command, no fault: restores the checkpoint,
-///      computes the remaining bins, writes out<t>.bin.
+///   1. reference — uninterrupted, into its own store; writes ref<t>.bin.
+///   2. victim    — into a fresh store with FINSER_FAULT=kill_after_flush:3:
+///      the process raises SIGKILL right after its 3rd artifact put (the
+///      cell model, then two energy bins) is durable. The driver asserts it
+///      died by exactly that signal and left those bins behind.
+///   3. resume    — the same command on the victim's store, no fault: it
+///      replays the stored model and bins, computes the rest, and writes
+///      out<t>.bin.
 ///
-/// Pass criterion: out<t>.bin is byte-identical to ref<t>.bin for both
-/// thread counts — the checkpoint/restore path changes nothing about the
-/// numbers, only about who computed them when.
+/// Pass criterion: out<t>.bin is byte-identical to ref<t>.bin in every leg
+/// (plain, CI-stopping, cluster 2x2) at both thread counts — artifact replay
+/// changes nothing about the numbers, only about who computed them when.
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -43,9 +45,8 @@
 
 #include <unistd.h>
 
-#include "finser/ckpt/checkpoint.hpp"
 #include "finser/core/ser_flow.hpp"
-#include "finser/env/spectrum.hpp"
+#include "finser/pipeline/campaign.hpp"
 #include "finser/util/bytes.hpp"
 #include "finser/util/io.hpp"
 
@@ -53,8 +54,7 @@ namespace {
 
 using namespace finser;
 
-core::SerFlowConfig harness_config(std::size_t threads,
-                                   const std::string& cache, bool with_ci,
+core::SerFlowConfig harness_config(std::size_t threads, bool with_ci,
                                    bool with_cluster) {
   core::SerFlowConfig cfg;
   cfg.array_rows = 2;
@@ -68,21 +68,20 @@ core::SerFlowConfig harness_config(std::size_t threads,
   cfg.alpha_bins = 3;
   cfg.seed = 77;
   cfg.threads = threads;
-  cfg.lut_cache_path = cache;
   if (with_ci) {
     // Adaptive leg: per-bin CI-driven early stopping must engage (small
     // chunks so the round schedule has real decision points inside the
-    // budget) and its stopping state must survive kill + resume byte-for-
-    // byte — the per-bin blob serializes units_used / stopped_early.
+    // budget) and its stopping state must survive kill + rerun byte-for-
+    // byte — the per-bin artifact serializes units_used / stopped_early.
     cfg.array_mc.strikes = 2400;
     cfg.array_mc.chunk = 64;
     core::apply_ci_target(cfg, 0.35);
   }
   if (with_cluster) {
     // Cluster leg: correlated 2x2 charge collection under a near-grazing
-    // beam, so checkpointed bins carry real joint multi-cell simulations —
-    // the memoized cluster surface must not perturb kill + resume
-    // byte-identity (its entries are pure functions of quantized keys).
+    // beam, so stored bins carry real joint multi-cell simulations — the
+    // memoized cluster surface must not perturb kill + rerun byte-identity
+    // (its entries are pure functions of quantized keys).
     cfg.array_mc.angular = core::SourceAngularLaw::kBeam;
     const double tilt = 88.0 * std::numbers::pi / 180.0;
     cfg.array_mc.beam_direction = {std::sin(tilt), 0.05, -std::cos(tilt)};
@@ -92,19 +91,17 @@ core::SerFlowConfig harness_config(std::size_t threads,
   return cfg;
 }
 
-/// Child body: run the alpha sweep and write its exact result bytes.
-int run_sweep(const std::string& workdir, std::size_t threads,
-              const std::string& result_file, const std::string& cache,
-              bool checkpointed, bool with_ci, bool with_cluster) {
-  core::SerFlow flow(harness_config(threads, cache, with_ci, with_cluster));
-
-  ckpt::RunOptions run;
-  if (checkpointed) {
-    run.checkpoint_path = workdir + "/ckpt";
-    run.checkpoint_interval_sec = 0.0;  // Flush after every finished bin.
-  }
-
-  const auto result = flow.sweep(env::package_alphas(), {}, run);
+/// Child body: run the alpha sweep as a single-scenario campaign on the
+/// artifact store \p store and write its exact result bytes.
+int run_sweep(const std::string& store, std::size_t threads,
+              const std::string& result_file, bool with_ci,
+              bool with_cluster) {
+  pipeline::CampaignSpec spec = pipeline::single_scenario_campaign(
+      harness_config(threads, with_ci, with_cluster), {"alpha"}, "",
+      "harness");
+  spec.artifact_dir = store;
+  pipeline::CampaignRunner runner(std::move(spec));
+  const auto result = runner.run()[0].sweeps[0];
 
   util::ByteWriter w;
   w.u64(result.per_bin.size());
@@ -130,11 +127,9 @@ int run_sweep(const std::string& workdir, std::size_t threads,
 }
 
 /// Fork + execv this binary in child mode; returns the raw waitpid status.
-int spawn_child(const char* self, const std::string& workdir,
+int spawn_child(const char* self, const std::string& store,
                 std::size_t threads, const std::string& result_file,
-                const std::string& cache, bool checkpointed,
-                const char* fault_spec, bool with_ci = false,
-                bool with_cluster = false) {
+                const std::string& mode, const char* fault_spec) {
   const pid_t pid = fork();
   if (pid < 0) {
     std::perror("fork");
@@ -147,13 +142,9 @@ int spawn_child(const char* self, const std::string& workdir,
       unsetenv("FINSER_FAULT");
     }
     const std::string t = std::to_string(threads);
-    std::string mode = checkpointed ? "ckpt" : "plain";
-    if (with_ci) mode += "-ci";
-    if (with_cluster) mode += "-cl";
     std::vector<char*> argv;
-    const char* args[] = {self,           "child",       workdir.c_str(),
-                          t.c_str(),      result_file.c_str(), cache.c_str(),
-                          mode.c_str()};
+    const char* args[] = {self,      "child",             store.c_str(),
+                          t.c_str(), result_file.c_str(), mode.c_str()};
     for (const char* a : args) argv.push_back(const_cast<char*>(a));
     argv.push_back(nullptr);
     execv(self, argv.data());
@@ -166,6 +157,16 @@ int spawn_child(const char* self, const std::string& workdir,
     std::exit(1);
   }
   return status;
+}
+
+/// Number of energy-bin artifacts in \p store.
+std::size_t stored_bins(const std::string& store) {
+  std::size_t n = 0;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(store, ec)) {
+    if (entry.path().filename().string().rfind("array_bin-", 0) == 0) ++n;
+  }
+  return n;
 }
 
 bool files_identical(const std::string& a, const std::string& b) {
@@ -196,147 +197,51 @@ int run_driver(const char* self) {
     return 1;
   }
   const std::string root = root_c;
-  const std::string cache = root + "/luts.bin";
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const std::string tag = std::to_string(threads);
-    const std::string workdir = root + "/v" + tag;
-    std::filesystem::create_directories(workdir);
-    const std::string ref_file = root + "/ref" + tag + ".bin";
-    const std::string out_file = root + "/out" + tag + ".bin";
+  // plain: fixed budget. ci: CI-driven early stopping, so byte-identity
+  // also proves a rerun replays the same stopping decisions (the per-bin
+  // artifacts carry units_used / stopped_early). cl: correlated 2x2 charge
+  // collection under a grazing beam (real joint multi-cell simulations).
+  for (const char* mode : {"plain", "ci", "cl"}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const std::string tag = std::string(mode) + std::to_string(threads);
+      const std::string ref_file = root + "/" + tag + "_ref.bin";
+      const std::string out_file = root + "/" + tag + "_out.bin";
+      const std::string store = root + "/" + tag + "_store";
 
-    // 1. Uninterrupted reference (also populates the shared LUT cache).
-    int status = spawn_child(self, workdir, threads, ref_file, cache,
-                             /*checkpointed=*/false, nullptr);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      return fail("reference run (threads=" + tag + ") did not exit cleanly");
-    }
+      // 1. Uninterrupted reference, on a store of its own.
+      int status = spawn_child(self, root + "/" + tag + "_ref_store", threads,
+                               ref_file, mode, nullptr);
+      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        return fail("reference run (" + tag + ") did not exit cleanly");
+      }
 
-    // 2. Victim: dies by SIGKILL right after its 2nd checkpoint flush.
-    status = spawn_child(self, workdir, threads, out_file, cache,
-                         /*checkpointed=*/true, "kill_after_flush:2");
-    if (!WIFSIGNALED(status) || WTERMSIG(status) != SIGKILL) {
-      return fail("victim (threads=" + tag +
-                  ") was expected to die by SIGKILL, status=" +
-                  std::to_string(status));
-    }
-    if (!std::filesystem::exists(workdir + "/ckpt")) {
-      return fail("victim (threads=" + tag + ") left no checkpoint behind");
-    }
+      // 2. Victim: dies by SIGKILL right after its 3rd durable artifact.
+      status = spawn_child(self, store, threads, out_file, mode,
+                           "kill_after_flush:3");
+      if (!WIFSIGNALED(status) || WTERMSIG(status) != SIGKILL) {
+        return fail("victim (" + tag +
+                    ") was expected to die by SIGKILL, status=" +
+                    std::to_string(status));
+      }
+      if (stored_bins(store) < 2) {
+        return fail("victim (" + tag + ") left fewer than 2 energy bins in "
+                    "its store");
+      }
 
-    // 3. Resume: restores the checkpoint and finishes the sweep.
-    status = spawn_child(self, workdir, threads, out_file, cache,
-                         /*checkpointed=*/true, nullptr);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      return fail("resume run (threads=" + tag + ") did not exit cleanly");
+      // 3. Rerun: replays the victim's artifacts and finishes the sweep.
+      status = spawn_child(self, store, threads, out_file, mode, nullptr);
+      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        return fail("rerun (" + tag + ") did not exit cleanly");
+      }
+      if (!files_identical(out_file, ref_file)) {
+        return fail("rerun result differs from uninterrupted reference (" +
+                    tag + ")");
+      }
+      std::printf("kill-resume OK (%s, %zu thread(s)): bit-identical after "
+                  "SIGKILL + rerun\n",
+                  mode, threads);
     }
-    if (std::filesystem::exists(workdir + "/ckpt")) {
-      return fail("completed resume (threads=" + tag +
-                  ") did not remove its checkpoint");
-    }
-    if (!files_identical(out_file, ref_file)) {
-      return fail("resumed result differs from uninterrupted reference "
-                  "(threads=" + tag + ")");
-    }
-    std::printf("kill-resume OK at %s thread(s): bit-identical after "
-                "SIGKILL + resume\n",
-                tag.c_str());
-  }
-
-  // Adaptive leg: the same kill + resume discipline with CI-driven early
-  // stopping enabled. The per-bin blobs now carry stopping state
-  // (units_used / stopped_early), so byte-identity additionally proves a
-  // resumed run replays the *same stopping decisions* as an uninterrupted
-  // one — the decision is derived from the deterministic chunk prefix, not
-  // stored schedule state.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const std::string tag = std::to_string(threads);
-    const std::string workdir = root + "/ci" + tag;
-    std::filesystem::create_directories(workdir);
-    const std::string ref_file = root + "/ci_ref" + tag + ".bin";
-    const std::string out_file = root + "/ci_out" + tag + ".bin";
-
-    int status = spawn_child(self, workdir, threads, ref_file, cache,
-                             /*checkpointed=*/false, nullptr, /*with_ci=*/true);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      return fail("adaptive reference run (threads=" + tag +
-                  ") did not exit cleanly");
-    }
-
-    status = spawn_child(self, workdir, threads, out_file, cache,
-                         /*checkpointed=*/true, "kill_after_flush:2",
-                         /*with_ci=*/true);
-    if (!WIFSIGNALED(status) || WTERMSIG(status) != SIGKILL) {
-      return fail("adaptive victim (threads=" + tag +
-                  ") was expected to die by SIGKILL, status=" +
-                  std::to_string(status));
-    }
-    if (!std::filesystem::exists(workdir + "/ckpt")) {
-      return fail("adaptive victim (threads=" + tag +
-                  ") left no checkpoint behind");
-    }
-
-    status = spawn_child(self, workdir, threads, out_file, cache,
-                         /*checkpointed=*/true, nullptr, /*with_ci=*/true);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      return fail("adaptive resume run (threads=" + tag +
-                  ") did not exit cleanly");
-    }
-    if (!files_identical(out_file, ref_file)) {
-      return fail("adaptive resumed result differs from uninterrupted "
-                  "reference (threads=" + tag + ")");
-    }
-    std::printf("kill-resume OK at %s thread(s) with --ci-target: stopping "
-                "state bit-identical after SIGKILL + resume\n",
-                tag.c_str());
-  }
-
-  // Cluster leg: kill + resume with correlated 2x2 charge collection under a
-  // grazing beam (real joint multi-cell simulations in the checkpointed
-  // bins). Byte-identity proves the memoized cluster surface and the joint
-  // scoring replay deterministically across the restore.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const std::string tag = std::to_string(threads);
-    const std::string workdir = root + "/cl" + tag;
-    std::filesystem::create_directories(workdir);
-    const std::string ref_file = root + "/cl_ref" + tag + ".bin";
-    const std::string out_file = root + "/cl_out" + tag + ".bin";
-
-    int status = spawn_child(self, workdir, threads, ref_file, cache,
-                             /*checkpointed=*/false, nullptr, /*with_ci=*/false,
-                             /*with_cluster=*/true);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      return fail("cluster reference run (threads=" + tag +
-                  ") did not exit cleanly");
-    }
-
-    status = spawn_child(self, workdir, threads, out_file, cache,
-                         /*checkpointed=*/true, "kill_after_flush:2",
-                         /*with_ci=*/false, /*with_cluster=*/true);
-    if (!WIFSIGNALED(status) || WTERMSIG(status) != SIGKILL) {
-      return fail("cluster victim (threads=" + tag +
-                  ") was expected to die by SIGKILL, status=" +
-                  std::to_string(status));
-    }
-    if (!std::filesystem::exists(workdir + "/ckpt")) {
-      return fail("cluster victim (threads=" + tag +
-                  ") left no checkpoint behind");
-    }
-
-    status = spawn_child(self, workdir, threads, out_file, cache,
-                         /*checkpointed=*/true, nullptr, /*with_ci=*/false,
-                         /*with_cluster=*/true);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      return fail("cluster resume run (threads=" + tag +
-                  ") did not exit cleanly");
-    }
-    if (!files_identical(out_file, ref_file)) {
-      return fail("cluster resumed result differs from uninterrupted "
-                  "reference (threads=" + tag + ")");
-    }
-    std::printf("kill-resume OK at %s thread(s) with cluster=2x2: "
-                "bit-identical after SIGKILL + resume\n",
-                tag.c_str());
   }
 
   std::error_code ec;
@@ -508,15 +413,13 @@ int main(int argc, char** argv) {
     return run_campaign_driver(argv[2]);
   }
   if (argc >= 2 && std::strcmp(argv[1], "child") == 0) {
-    if (argc != 7) {
+    if (argc != 6) {
       std::fprintf(stderr, "harness child: bad argument count\n");
       return 2;
     }
-    const std::string mode = argv[6];
+    const std::string mode = argv[5];
     return run_sweep(argv[2], static_cast<std::size_t>(std::atol(argv[3])),
-                     argv[4], argv[5], mode.rfind("ckpt", 0) == 0,
-                     mode.find("-ci") != std::string::npos,
-                     mode.find("-cl") != std::string::npos);
+                     argv[4], mode == "ci", mode == "cl");
   }
   return run_driver(argv[0]);
 }
