@@ -422,8 +422,8 @@ void report_spice_kernel() {
   run_batched(batch_out);  // Warm-up.
   const double batched_s = run_batched(batch_out);
 
-  // Count what the compiled path actually does: solver steps skipped by the
-  // steady-state fast-forward and DC hold solves saved by the ΔVt cache.
+  // Count what the compiled path actually does: runs ended by the latch exit
+  // and DC hold solves saved by the ΔVt cache.
   obs::Registry::global().reset();
   obs::set_enabled(true);
   run_pass(sram::SpiceEngine::kCompiled, false, hot_out);
@@ -432,7 +432,7 @@ void report_spice_kernel() {
         obs::Registry::global().counter(name).total());
   };
   const unsigned long long tran_steps = count("spice.tran.steps");
-  const unsigned long long ff_steps = count("spice.tran.ff_steps");
+  const unsigned long long latch_exits = count("spice.tran.latch_exits");
   const unsigned long long newton_iters = count("spice.tran.newton_iters");
   const unsigned long long dc_reuse = count("sram.strike.dc_reuse");
   // Lane-utilization counters of the batched engine: how full the SIMD lanes
@@ -506,7 +506,7 @@ void report_spice_kernel() {
                 "  \"bit_identical_outcomes\": %s,\n"
                 "  \"bit_identical_batched\": %s,\n"
                 "  \"rebind_tran_steps\": %llu,\n"
-                "  \"rebind_ff_steps\": %llu,\n"
+                "  \"rebind_latch_exits\": %llu,\n"
                 "  \"rebind_newton_iters\": %llu,\n"
                 "  \"rebind_dc_hold_reuses\": %llu,\n"
                 "  \"batch_newton_ticks\": %llu,\n"
@@ -518,7 +518,7 @@ void report_spice_kernel() {
                 kSimsPerSample, rebuild_s, rebind_s, batched_s,
                 rebuild_rate, rebind_rate, batched_rate, speedup,
                 batched_speedup, lanes, identical ? "true" : "false",
-                identical_batched ? "true" : "false", tran_steps, ff_steps,
+                identical_batched ? "true" : "false", tran_steps, latch_exits,
                 newton_iters, dc_reuse, batch_ticks, lane_active, lane_masked,
                 lane_fraction);
   os << body;

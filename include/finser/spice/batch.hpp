@@ -17,9 +17,9 @@
 /// Lanes are *masked, not branched around*: a converged, finished or failed
 /// lane keeps riding the vector tick (its stamps and LU are computed and
 /// discarded) until the whole group drains. Per-lane Newton bookkeeping —
-/// damping, convergence, step control, the escalation ladder, steady-state
-/// fast-forward — stays scalar per lane and mirrors engine_detail.hpp's
-/// scalar transient loop statement for statement.
+/// damping, convergence, step control, the escalation ladder, the latch
+/// exit — stays scalar per lane and mirrors engine_detail.hpp's scalar
+/// transient loop statement for statement.
 ///
 /// Width selection: the compiled default (`kDefaultLaneWidth`) picks the
 /// widest vector unit the build targets; `set_lane_width()` / the
@@ -69,9 +69,9 @@ void set_lane_width(std::size_t w);
 
 /// Preallocated AoSoA scratch of one lane-batched circuit: the per-lane
 /// rebound parameters, reactive state, dense MNA blocks and solver vectors,
-/// plus the per-lane cold state (pivot caches, breakpoints, fast-forward
-/// rings). One workspace per (thread, compiled circuit); sized by
-/// CompiledCircuit::batch_configure(). Hot arrays index as [slot * lanes + w].
+/// plus the per-lane cold state (pivot caches, breakpoints). One workspace
+/// per (thread, compiled circuit); sized by CompiledCircuit::batch_configure().
+/// Hot arrays index as [slot * lanes + w].
 struct BatchWorkspace {
   std::size_t lanes = 0;     ///< AoSoA width W (1, 4 or 8).
   std::size_t unknowns = 0;  ///< System size n (sans ground scratch).
@@ -110,7 +110,6 @@ struct BatchWorkspace {
 
   // --- Per-lane transient cold state (scalar access only) ------------------
   std::array<std::vector<double>, kMaxLaneWidth> breaks;
-  std::array<std::array<SolveWorkspace::StateSnap, 8>, kMaxLaneWidth> ff_ring;
 };
 
 /// Per-lane results of one batched transient group. Lane w of the input maps

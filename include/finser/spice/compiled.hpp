@@ -29,7 +29,6 @@
 /// bit-exact by tests/test_spice_compiled.cpp. Lifecycle details and the
 /// when-to-recompile table: docs/spice.md.
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -83,18 +82,6 @@ class CompiledCircuit {
   /// Append hard time points (source edges) within [0, t_end].
   void add_breakpoints(double t_end, std::vector<double>& out) const;
 
-  /// True when every time-dependent source (PWL tables, strike pulses) has
-  /// reached its final constant value by time \p t — i.e. stamping at any
-  /// time >= \p t is a pure function of the iterate and the reactive state.
-  /// This is the license for the transient engine's steady-state
-  /// fast-forward (see engine_detail.hpp).
-  bool sources_constant_after(double t) const;
-
-  /// Snapshot / restore the reactive state (capacitor histories), used by
-  /// the steady-state fast-forward to replay a proven cycle.
-  void save_reactive_state(std::vector<double>& out) const;
-  void load_reactive_state(const std::vector<double>& in);
-
   // --- Lane-batched engine hooks (batch.hpp; see docs/spice.md) -----------
   // The batched transient engine (engine_detail.hpp) advances W independent
   // parameter bindings of *this one compiled plan* in lockstep. Per-lane
@@ -127,12 +114,6 @@ class CompiledCircuit {
                     double dt, Integrator method) const;
   void batch_add_breakpoints(const BatchWorkspace& bw, std::size_t lane,
                              double t_end, std::vector<double>& out) const;
-  bool batch_sources_constant_after(const BatchWorkspace& bw,
-                                    std::size_t lane, double t) const;
-  void batch_save_reactive_state(const BatchWorkspace& bw, std::size_t lane,
-                                 std::vector<double>& out) const;
-  void batch_load_reactive_state(BatchWorkspace& bw, std::size_t lane,
-                                 const std::vector<double>& in) const;
 
  private:
   enum class Kind : std::uint8_t {
@@ -223,16 +204,6 @@ struct SolveWorkspace {
   std::vector<double> anchor;    ///< DC: gmin anchor (initial guess copy).
   std::vector<double> gmin_schedule;  ///< DC: extensible continuation schedule.
   std::vector<double> breaks;    ///< Transient: hard breakpoint times.
-
-  /// Snapshot of one accepted uniform transient step: the solution vector
-  /// plus the reactive (capacitor) state. The transient engine keeps a short
-  /// ring of these to detect exact steady-state cycles (see
-  /// engine_detail.hpp run_transient_impl).
-  struct StateSnap {
-    std::vector<double> x;
-    std::vector<double> state;
-  };
-  std::array<StateSnap, 8> ff_ring;
 
   // --- Fused solve-kernel scratch (compiled path only) ---------------------
   // Raw dense system written by CompiledCircuit::stamp_fused(): fa holds the

@@ -78,11 +78,23 @@ struct TransientOptions {
   /// deterministic — no randomness, no wall-clock — so retried runs stay
   /// reproducible. 0 disables the ladder.
   int max_restarts = 2;
+  /// Latch exit [V]; 0 (the default) always runs to t_end. When positive,
+  /// the probe list is read as (node, complement) pairs, and a run ends
+  /// where it stands — exactly as if it had reached t_end — once it has
+  /// passed the last source edge of its breakpoint list and every pair sits
+  /// within 5 % of latch_rail_v of *opposite* rails (one node near
+  /// latch_rail_v, the other near 0 V). For a bistable netlist whose
+  /// sources are constant after their last edge, such a pair is held inside
+  /// its stored state's basin, so any mid-rail test of the final values
+  /// gives the answer it would at t_end (docs/spice.md "Transient").
+  /// Counted as spice.tran.latch_exits.
+  double latch_rail_v = 0.0;
 };
 
 /// Run a transient from the operating point \p x0 (from solve_dc).
 /// Devices' internal state is initialized from \p x0, advanced, and left at
-/// the final time (re-run requires re-solving DC first).
+/// the final time — t_end, or the latch exit's (re-run requires re-solving
+/// DC first).
 /// \param probe_nodes node names to record; empty records every node.
 Waveform run_transient(const Circuit& circuit, const std::vector<double>& x0,
                        const TransientOptions& options,

@@ -90,6 +90,8 @@ struct CellDesign {
 /// Result of one strike transient.
 struct StrikeOutcome {
   bool flipped = false;
+  /// V(Q) / V(QB) when the run ended: at the latch exit (both nodes within
+  /// 5 % of opposite rails) or at the 50 ps ceiling, whichever came first.
   double final_q_v = 0.0;
   double final_qb_v = 0.0;
 };
@@ -180,6 +182,9 @@ class StrikeSimulator {
                          spice::PulseShape::Kind kind);
   /// Compiled engine only; expects apply_delta_vt() + rebind() done.
   const std::vector<double>& hold_cached(const DeltaVt& delta_vt);
+  /// The one flip predicate of both engines and the batched path, applied
+  /// to a {"q", "qb"} waveform.
+  StrikeOutcome outcome_of(const spice::Waveform& wave) const;
 
   CellDesign design_;
   double vdd_v_;

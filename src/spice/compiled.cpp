@@ -274,33 +274,4 @@ void CompiledCircuit::add_breakpoints(double t_end,
   }
 }
 
-bool CompiledCircuit::sources_constant_after(double t) const {
-  for (const PwlRec& p : pwls_) {
-    if (p.src->last_point_time() > t) return false;
-  }
-  for (const ISourceRec& s : isources_) {
-    if (s.shape.end_time() > t) return false;
-  }
-  return true;
-}
-
-void CompiledCircuit::save_reactive_state(std::vector<double>& out) const {
-  out.clear();
-  out.reserve(2 * capacitors_.size());
-  for (const CapacitorRec& c : capacitors_) {
-    out.push_back(c.v_prev);
-    out.push_back(c.i_prev);
-  }
-}
-
-void CompiledCircuit::load_reactive_state(const std::vector<double>& in) {
-  FINSER_REQUIRE(in.size() == 2 * capacitors_.size(),
-                 "CompiledCircuit: reactive-state snapshot size mismatch");
-  std::size_t k = 0;
-  for (CapacitorRec& c : capacitors_) {
-    c.v_prev = in[k++];
-    c.i_prev = in[k++];
-  }
-}
-
 }  // namespace finser::spice

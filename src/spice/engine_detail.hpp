@@ -43,10 +43,6 @@ namespace finser::spice::detail {
 struct InterpretedStamper {
   const Circuit& c;
 
-  /// The reference path never fast-forwards: it is the ground truth the
-  /// compiled path's steady-state replay is checked against.
-  static constexpr bool kSteadyForward = false;
-
   /// The reference path solves through Mna: it is the legacy baseline the
   /// fused compiled kernel is benchmarked (and bit-compared) against.
   static constexpr bool kFusedSolve = false;
@@ -74,7 +70,6 @@ struct InterpretedStamper {
 struct CompiledStamper {
   CompiledCircuit& cc;
 
-  static constexpr bool kSteadyForward = true;
   static constexpr bool kFusedSolve = true;
 
   std::size_t node_count() const { return cc.node_count(); }
@@ -98,15 +93,6 @@ struct CompiledStamper {
   void commit(const StampContext& ctx) const { cc.commit(ctx); }
   void add_breakpoints(double t_end, std::vector<double>& out) const {
     cc.add_breakpoints(t_end, out);
-  }
-  bool sources_constant_after(double t) const {
-    return cc.sources_constant_after(t);
-  }
-  void save_state(std::vector<double>& out) const {
-    cc.save_reactive_state(out);
-  }
-  void load_state(const std::vector<double>& in) const {
-    cc.load_reactive_state(in);
   }
 };
 
@@ -432,17 +418,55 @@ bool newton_step(const Stamper& st, SolveWorkspace& ws, Mna& mna,
   return false;
 }
 
+/// Option checks shared by the scalar and lane-batched transient engines.
+inline void check_transient_options(const TransientOptions& opt,
+                                    const std::vector<std::string>& probes) {
+  FINSER_REQUIRE(opt.t_end > 0.0, "run_transient: t_end must be positive");
+  FINSER_REQUIRE(opt.dt_initial > 0.0 && opt.dt_min > 0.0 &&
+                     opt.dt_max >= opt.dt_initial,
+                 "run_transient: inconsistent step-size options");
+  FINSER_REQUIRE(opt.latch_rail_v >= 0.0,
+                 "run_transient: latch_rail_v must be non-negative");
+  FINSER_REQUIRE(opt.latch_rail_v == 0.0 ||
+                     (!probes.empty() && probes.size() % 2 == 0),
+                 "run_transient: latch_rail_v needs (node, complement) probe "
+                 "pairs");
+}
+
+/// Half-width of the latch band, as a fraction of latch_rail_v.
+inline constexpr double kLatchBand = 0.05;
+
+/// Latch-exit rule (TransientOptions::latch_rail_v) for a run standing at
+/// time \p t < t_end: true once the run has passed the last source edge in
+/// its sorted breakpoint list \p breaks (whose final entry is t_end) and
+/// every (node, complement) pair of \p nodes sits within the band of
+/// *opposite* rails. \p v maps a node index to its present voltage. Counts
+/// spice.tran.latch_exits when it fires.
+template <class Voltage>
+bool latch_exit(const TransientOptions& opt, const std::vector<double>& breaks,
+                const std::vector<std::size_t>& nodes, double t, Voltage v) {
+  if (opt.latch_rail_v == 0.0) return false;
+  const double last_edge = breaks.size() >= 2 ? breaks[breaks.size() - 2] : 0.0;
+  if (t < last_edge - 1e-24) return false;
+  const double hi = opt.latch_rail_v * (1.0 - kLatchBand);
+  const double lo = opt.latch_rail_v * kLatchBand;
+  for (std::size_t p = 0; p < nodes.size(); p += 2) {
+    const double a = nodes[p] == kGround ? 0.0 : v(nodes[p]);
+    const double b = nodes[p + 1] == kGround ? 0.0 : v(nodes[p + 1]);
+    if (!((a >= hi && b <= lo) || (a <= lo && b >= hi))) return false;
+  }
+  FINSER_OBS_COUNT("spice.tran.latch_exits", 1);
+  return true;
+}
+
 template <class Stamper>
 Waveform run_transient_impl(const Stamper& st, SolveWorkspace& ws,
                             const std::vector<double>& x0,
                             const TransientOptions& opt,
                             const std::vector<std::string>& probe_nodes) {
-  FINSER_REQUIRE(opt.t_end > 0.0, "run_transient: t_end must be positive");
+  check_transient_options(opt, probe_nodes);
   FINSER_REQUIRE(x0.size() == st.unknown_count(),
                  "run_transient: x0 size mismatch");
-  FINSER_REQUIRE(opt.dt_initial > 0.0 && opt.dt_min > 0.0 &&
-                     opt.dt_max >= opt.dt_initial,
-                 "run_transient: inconsistent step-size options");
 
   obs::ScopedSpan run_span("spice.tran.run");
   FINSER_OBS_COUNT("spice.tran.runs", 1);
@@ -461,7 +485,8 @@ Waveform run_transient_impl(const Stamper& st, SolveWorkspace& ws,
       nodes.push_back(st.find_node(p));
     }
   }
-  Waveform wave(std::move(names), std::move(nodes));
+  // The latch rule reads the probe nodes after construction: copy, not move.
+  Waveform wave(std::move(names), nodes);
 
   // Collect and sort hard breakpoints.
   std::vector<double>& breaks = ws.breaks;
@@ -496,73 +521,14 @@ Waveform run_transient_impl(const Stamper& st, SolveWorkspace& ws,
   int restart_level = 0;
   std::uint64_t accepted_steps = 0;
 
-  // Steady-state fast-forward (compiled stamper only). In the settling tail
-  // of a strike transient the step map becomes a pure function of
-  // (x, reactive state): the step size is pinned at dt_max, every source is
-  // past its last edge, and each accepted step reproduces the previous
-  // solution *exactly* once the floating-point contraction bottoms out
-  // (trapezoidal capacitor histories may alternate sign, giving a period-2
-  // cycle). The engine snapshots (x, state) after each uniform accepted
-  // step; once the last 2p snapshots repeat with period p, every further
-  // uniform step provably replays that cycle, so the remaining steps up to
-  // the final breakpoint clamp are emitted without stamping or solving —
-  // value-identical by induction, not by approximation.
-  [[maybe_unused]] constexpr std::size_t kFfMaxPeriod = 4;
-  std::uint64_t ff_count = 0;  // Uniform-step snapshots since last reset.
-  [[maybe_unused]] const auto ff_snap =
-      [&ws](std::uint64_t i) -> SolveWorkspace::StateSnap& {
-    return ws.ff_ring[i % ws.ff_ring.size()];
-  };
-  [[maybe_unused]] const auto ff_same = [](const SolveWorkspace::StateSnap& a,
-                                           const SolveWorkspace::StateSnap& b) {
-    return a.x == b.x && a.state == b.state;
-  };
-
   while (t < opt.t_end - 1e-24) {
+    if (latch_exit(opt, breaks, nodes, t,
+                   [&x](std::size_t i) { return x[i]; })) {
+      break;
+    }
     // Clamp the step to land exactly on the next breakpoint.
     while (next_break < breaks.size() && breaks[next_break] <= t + 1e-24) {
       ++next_break;
-    }
-
-    if constexpr (Stamper::kSteadyForward) {
-      if (ff_count >= 2 && dt == opt.dt_max && next_break < breaks.size() &&
-          st.sources_constant_after(t)) {
-        std::size_t period = 0;
-        for (std::size_t p = 1; p <= kFfMaxPeriod && period == 0; ++p) {
-          if (ff_count < 2 * p) break;
-          bool cyclic = true;
-          for (std::size_t j = 0; j < p && cyclic; ++j) {
-            cyclic = ff_same(ff_snap(ff_count - 1 - j),
-                             ff_snap(ff_count - 1 - j - p));
-          }
-          if (cyclic) period = p;
-        }
-        if (period > 0) {
-          // Replay the cycle over every remaining full-dt step before the
-          // breakpoint clamp (mirrors the clamp condition below). Step k
-          // ahead of the newest snapshot s_last reproduces
-          // s_{last - period + 1 + ((k-1) mod period)}.
-          const double bound = breaks[next_break];
-          std::uint64_t replayed = 0;
-          while (t + dt < bound - 1e-24) {
-            ++replayed;
-            const SolveWorkspace::StateSnap& s = ff_snap(
-                ff_count - 1 - period + 1 + ((replayed - 1) % period));
-            t += dt;
-            wave.append(t, s.x);
-            FINSER_OBS_COUNT("spice.tran.steps", 1);
-            FINSER_OBS_COUNT("spice.tran.ff_steps", 1);
-            ++accepted_steps;
-          }
-          if (replayed > 0) {
-            const SolveWorkspace::StateSnap& s = ff_snap(
-                ff_count - 1 - period + 1 + ((replayed - 1) % period));
-            x = s.x;
-            st.load_state(s.state);
-            ff_count = 0;
-          }
-        }
-      }
     }
 
     bool hit_break = false;
@@ -584,20 +550,6 @@ Waveform run_transient_impl(const Stamper& st, SolveWorkspace& ws,
       st.commit(ctx);
       t = ctx.time;
       wave.append(t, x);
-      if constexpr (Stamper::kSteadyForward) {
-        // Only a run of *uniform* full-size steps with time-constant
-        // sources can certify a cycle; anything else restarts detection.
-        if (!hit_break && step == opt.dt_max &&
-            st.sources_constant_after(t - step)) {
-          SolveWorkspace::StateSnap& slot =
-              ws.ff_ring[ff_count % ws.ff_ring.size()];
-          slot.x = x;
-          st.save_state(slot.state);
-          ++ff_count;
-        } else {
-          ff_count = 0;
-        }
-      }
       if (hit_break) {
         dt = opt.dt_initial;  // Restart small after a source edge.
         ++next_break;
@@ -607,7 +559,6 @@ Waveform run_transient_impl(const Stamper& st, SolveWorkspace& ws,
     } else {
       // Reject: shrink and retry from the committed state.
       FINSER_OBS_COUNT("spice.tran.rejects", 1);
-      ff_count = 0;
       dt *= opt.shrink_factor;
       if (dt < opt.dt_min) {
         if (restart_level < opt.max_restarts) {
@@ -844,9 +795,9 @@ inline void batch_lu_solve(BatchWorkspace& bw, std::size_t n,
 
 /// Lane-batched mirror of run_transient_impl(): W independent transients
 /// advance through one vectorized Newton tick at a time. All per-lane step
-/// control (breakpoint clamping, accept/reject, the escalation ladder,
-/// steady-state fast-forward) is the scalar loop's code ported statement for
-/// statement and run per lane; only the per-iteration stamp+solve+update is
+/// control (breakpoint clamping, accept/reject, the escalation ladder, the
+/// latch exit) is the scalar loop's code ported statement for statement and
+/// run per lane; only the per-iteration stamp+solve+update is
 /// batched. Lanes that are done, failed or inactive stay in the vector as
 /// masked compute-and-discard riders until the group drains — freezing, not
 /// branching, is what keeps the hot loop uniform.
@@ -857,10 +808,7 @@ BatchTransientResult run_transient_batch_impl(
     const std::vector<std::string>& probe_nodes) {
   FINSER_REQUIRE(bw.lanes == W, "run_transient_batch: workspace lane mismatch");
   FINSER_REQUIRE(x0.size() <= W, "run_transient_batch: more lanes than width");
-  FINSER_REQUIRE(opt.t_end > 0.0, "run_transient: t_end must be positive");
-  FINSER_REQUIRE(opt.dt_initial > 0.0 && opt.dt_min > 0.0 &&
-                     opt.dt_max >= opt.dt_initial,
-                 "run_transient: inconsistent step-size options");
+  check_transient_options(opt, probe_nodes);
   const std::size_t n = cc.unknown_count();
   FINSER_REQUIRE(bw.unknowns == n, "run_transient_batch: workspace size mismatch");
 
@@ -908,7 +856,6 @@ BatchTransientResult run_transient_batch_impl(
   std::array<int, W> eff_max_newton{};
   std::array<double, W> eff_damping{};
   std::array<std::uint64_t, W> accepted{};
-  std::array<std::uint64_t, W> ff_count{};
   // Keep masked lanes' dt positive: they are stamped unconditionally and the
   // capacitor companion divides by it.
   dt.fill(opt.dt_initial);
@@ -923,16 +870,6 @@ BatchTransientResult run_transient_batch_impl(
   const auto inject_lane = [&](const std::vector<double>& in, std::size_t w,
                                std::vector<double>& dst) {
     for (std::size_t i = 0; i < n; ++i) dst[i * W + w] = in[i];
-  };
-
-  constexpr std::size_t kFfMaxPeriod = 4;
-  const auto ff_snap = [&bw](std::size_t w,
-                             std::uint64_t i) -> SolveWorkspace::StateSnap& {
-    return bw.ff_ring[w][i % bw.ff_ring[w].size()];
-  };
-  const auto ff_same = [](const SolveWorkspace::StateSnap& sa,
-                          const SolveWorkspace::StateSnap& sb) {
-    return sa.x == sb.x && sa.state == sb.state;
   };
 
   // Initialize active lanes; masked lanes inherit the first active lane's
@@ -979,15 +916,6 @@ BatchTransientResult run_transient_batch_impl(
     t[w] = bt[w];
     extract_lane(bw.x, w, xscratch);
     res.waves[w].append(t[w], xscratch);
-    if (!hit_break[w] && step[w] == opt.dt_max &&
-        cc.batch_sources_constant_after(bw, w, t[w] - step[w])) {
-      SolveWorkspace::StateSnap& slot = ff_snap(w, ff_count[w]);
-      slot.x = xscratch;
-      cc.batch_save_reactive_state(bw, w, slot.state);
-      ++ff_count[w];
-    } else {
-      ff_count[w] = 0;
-    }
     if (hit_break[w]) {
       dt[w] = opt.dt_initial;  // Restart small after a source edge.
       ++next_break[w];
@@ -1001,7 +929,6 @@ BatchTransientResult run_transient_batch_impl(
   // lane failed with the text the scalar engine would have thrown.
   const auto reject = [&](std::size_t w) {
     FINSER_OBS_COUNT("spice.tran.rejects", 1);
-    ff_count[w] = 0;
     dt[w] *= opt.shrink_factor;
     phase[w] = Phase::kStepping;
     if (dt[w] < opt.dt_min) {
@@ -1033,52 +960,18 @@ BatchTransientResult run_transient_batch_impl(
     // --- Per-lane scalar bookkeeping: arm the next Newton attempt ---------
     for (std::size_t w = 0; w < W; ++w) {
       if (phase[w] != Phase::kStepping) continue;
-      if (t[w] >= opt.t_end - 1e-24) {
+      std::vector<double>& breaks = bw.breaks[w];
+      if (t[w] >= opt.t_end - 1e-24 ||
+          latch_exit(opt, breaks, nodes, t[w], [&bw, w](std::size_t i) {
+            return bw.x[i * W + w];
+          })) {
         FINSER_OBS_RECORD("spice.tran.steps_per_run", accepted[w]);
         phase[w] = Phase::kDone;
         continue;
       }
-      std::vector<double>& breaks = bw.breaks[w];
       while (next_break[w] < breaks.size() &&
              breaks[next_break[w]] <= t[w] + 1e-24) {
         ++next_break[w];
-      }
-
-      // Steady-state fast-forward (scalar port, per lane).
-      if (ff_count[w] >= 2 && dt[w] == opt.dt_max &&
-          next_break[w] < breaks.size() &&
-          cc.batch_sources_constant_after(bw, w, t[w])) {
-        std::size_t period = 0;
-        for (std::size_t p = 1; p <= kFfMaxPeriod && period == 0; ++p) {
-          if (ff_count[w] < 2 * p) break;
-          bool cyclic = true;
-          for (std::size_t j = 0; j < p && cyclic; ++j) {
-            cyclic = ff_same(ff_snap(w, ff_count[w] - 1 - j),
-                             ff_snap(w, ff_count[w] - 1 - j - p));
-          }
-          if (cyclic) period = p;
-        }
-        if (period > 0) {
-          const double bound = breaks[next_break[w]];
-          std::uint64_t replayed = 0;
-          while (t[w] + dt[w] < bound - 1e-24) {
-            ++replayed;
-            const SolveWorkspace::StateSnap& s = ff_snap(
-                w, ff_count[w] - 1 - period + 1 + ((replayed - 1) % period));
-            t[w] += dt[w];
-            res.waves[w].append(t[w], s.x);
-            FINSER_OBS_COUNT("spice.tran.steps", 1);
-            FINSER_OBS_COUNT("spice.tran.ff_steps", 1);
-            ++accepted[w];
-          }
-          if (replayed > 0) {
-            const SolveWorkspace::StateSnap& s = ff_snap(
-                w, ff_count[w] - 1 - period + 1 + ((replayed - 1) % period));
-            inject_lane(s.x, w, bw.x);
-            cc.batch_load_reactive_state(bw, w, s.state);
-            ff_count[w] = 0;
-          }
-        }
       }
 
       hit_break[w] = false;

@@ -88,11 +88,15 @@ StrikeSimulator::StrikeSimulator(const CellDesign& design, double vdd_v,
   src_i2_ = &circuit_.add<PulseISource>(n_vdd_, n_qb_, zero);   // PU at QB.
   src_i3_ = &circuit_.add<PulseISource>(n_blb_, n_qb_, zero);   // PG at QB.
 
-  // Transient window: the pulse is ~10 fs; 50 ps comfortably covers the flip
-  // or recovery of a 14 nm cell (regeneration time constants are < 1 ps).
+  // Transient window: the pulse is ~10 fs; a 50 ps ceiling comfortably
+  // covers the flip or recovery of a 14 nm cell (regeneration time constants
+  // are < 1 ps). A run ends earlier, at its latch exit, once the last pulse
+  // edge has passed and q/qb sit at opposite rails — the flip decision is
+  // then already fixed (docs/spice.md "Transient").
   topt_.t_end = 50e-12;
   topt_.dt_initial = 1e-15;
   topt_.dt_max = 1e-12;
+  topt_.latch_rail_v = vdd_v_;
 
   // The netlist is final: lower it once. Every simulate() from here on is a
   // rebind, never a rebuild.
@@ -184,20 +188,10 @@ StrikeOutcome StrikeSimulator::simulate(const StrikeCharges& charges,
         "(FINSER_FAULT newton_diverge)");
   }
 
-  const auto finish = [this](const spice::Waveform& wave) {
-    StrikeOutcome out;
-    out.final_q_v = wave.final_value(0);
-    out.final_qb_v = wave.final_value(1);
-    // Flip detection: the '1' node fell below mid-rail and the '0' node rose
-    // above it (a regenerated cell returns to its rails within the window).
-    out.flipped = out.final_q_v < 0.5 * vdd_v_ && out.final_qb_v > 0.5 * vdd_v_;
-    return out;
-  };
-
   if (engine_ == SpiceEngine::kReference) {
     const auto x0 = solve_hold(delta_vt);
     set_strike_shapes(charges, kind);
-    return finish(spice::run_transient(circuit_, x0, topt_, {"q", "qb"}));
+    return outcome_of(spice::run_transient(circuit_, x0, topt_, {"q", "qb"}));
   }
 
   // Compiled hot path: mutate the source devices exactly as the reference
@@ -207,7 +201,18 @@ StrikeOutcome StrikeSimulator::simulate(const StrikeCharges& charges,
   set_strike_shapes(charges, kind);
   compiled_->rebind();
   const auto& x0 = hold_cached(delta_vt);
-  return finish(spice::run_transient(*compiled_, ws_, x0, topt_, {"q", "qb"}));
+  return outcome_of(
+      spice::run_transient(*compiled_, ws_, x0, topt_, {"q", "qb"}));
+}
+
+StrikeOutcome StrikeSimulator::outcome_of(const spice::Waveform& wave) const {
+  StrikeOutcome out;
+  out.final_q_v = wave.final_value(0);
+  out.final_qb_v = wave.final_value(1);
+  // Flip detection: the '1' node fell below mid-rail and the '0' node rose
+  // above it (a regenerated cell returns to its rails within the window).
+  out.flipped = out.final_q_v < 0.5 * vdd_v_ && out.final_qb_v > 0.5 * vdd_v_;
+  return out;
 }
 
 void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
@@ -304,11 +309,7 @@ void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
         out[k].error = res.errors[g];
         continue;
       }
-      StrikeOutcome& o = out[k].outcome;
-      o.final_q_v = res.waves[g].final_value(0);
-      o.final_qb_v = res.waves[g].final_value(1);
-      o.flipped =
-          o.final_q_v < 0.5 * vdd_v_ && o.final_qb_v > 0.5 * vdd_v_;
+      out[k].outcome = outcome_of(res.waves[g]);
     }
   }
 }

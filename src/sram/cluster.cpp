@@ -145,11 +145,14 @@ ClusterSimulator::ClusterSimulator(const CellDesign& design, double vdd_v,
   }
 
   // Same transient window as the single-cell simulator: the pulses are ~10 fs
-  // wide and a 14 nm cell regenerates in < 1 ps, so 50 ps covers flip or
-  // recovery of every tile cell.
+  // wide and a 14 nm cell regenerates in < 1 ps, so a 50 ps ceiling covers
+  // flip or recovery of every tile cell. The latch exit ends a run earlier,
+  // once every tile cell's (q, qb) pair sits at opposite rails after the
+  // last pulse edge.
   topt_.t_end = 50e-12;
   topt_.dt_initial = 1e-15;
   topt_.dt_max = 1e-12;
+  topt_.latch_rail_v = vdd_v_;
 
   // The netlist is final: lower it once. Every simulate() is a rebind.
   compiled_.emplace(circuit_);
@@ -278,17 +281,7 @@ void ClusterSimulator::simulate_batch(
         out[k].error = res.errors[g];
         continue;
       }
-      Outcome& o = out[k];
-      o.flipped.assign(cell_count(), 0);
-      o.flip_count = 0;
-      for (std::size_t i = 0; i < cell_count(); ++i) {
-        const double q = res.waves[g].final_value(2 * i);
-        const double qb = res.waves[g].final_value(2 * i + 1);
-        if (q < 0.5 * vdd_v_ && qb > 0.5 * vdd_v_) {
-          o.flipped[i] = 1;
-          ++o.flip_count;
-        }
-      }
+      out[k] = finish_wave(res.waves[g]);
     }
   }
 }

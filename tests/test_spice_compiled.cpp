@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "finser/exec/cancel.hpp"
+#include "finser/obs/obs.hpp"
 #include "finser/pipeline/artifact_store.hpp"
 #include "finser/pipeline/campaign.hpp"
 #include "finser/spice/batch.hpp"
@@ -654,7 +655,9 @@ TEST(SpiceBatch, MaskedLanesAreUntouched) {
 }
 
 // The full characterization table — CDFs, nominal boundaries, grid MC — must
-// be byte-identical for every lane width (the scalar width is the reference).
+// be byte-identical for every lane width and thread count (the scalar width
+// on one thread is the reference), and so must the transient work behind
+// it: the accepted steps and the runs ended by the latch exit.
 TEST(SpiceBatch, CharacterizeAtAgreesAcrossLaneWidths) {
   CharacterizerConfig cfg;
   cfg.vdds = {0.8};
@@ -663,20 +666,42 @@ TEST(SpiceBatch, CharacterizeAtAgreesAcrossLaneWidths) {
   cfg.triple_grid_points = 6;
   cfg.pv_samples_grid = 3;
   cfg.seed = 99;
-  cfg.threads = 2;
   const CellDesign design;
-  const CellCharacterizer ch(design, cfg);
 
-  auto table_bytes = [&](std::size_t width) {
+  struct Seen {
+    std::vector<std::uint8_t> bytes;
+    std::uint64_t steps = 0;
+    std::uint64_t latch_exits = 0;
+  };
+  auto characterize = [&](std::size_t threads, std::size_t width) {
     LaneWidthGuard guard(width);
-    const PofTable t = ch.characterize_at(0.8, 5);
+    CharacterizerConfig c = cfg;
+    c.threads = threads;
+    obs::Registry& reg = obs::Registry::global();
+    reg.reset();
+    obs::set_enabled(true);
+    const PofTable t = CellCharacterizer(design, c).characterize_at(0.8, 5);
+    obs::set_enabled(false);
+    Seen seen;
     util::ByteWriter w;
     t.write(w);
-    return w.take();
+    seen.bytes = w.take();
+    seen.steps = reg.counter("spice.tran.steps").total();
+    seen.latch_exits = reg.counter("spice.tran.latch_exits").total();
+    reg.reset();
+    return seen;
   };
-  const std::vector<std::uint8_t> want = table_bytes(1);
-  EXPECT_EQ(want, table_bytes(4));
-  EXPECT_EQ(want, table_bytes(8));
+  const Seen want = characterize(1, 1);
+  EXPECT_GT(want.latch_exits, 0u);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+      const Seen got = characterize(threads, width);
+      EXPECT_EQ(want.bytes, got.bytes) << threads << " threads, width " << width;
+      EXPECT_EQ(want.steps, got.steps) << threads << " threads, width " << width;
+      EXPECT_EQ(want.latch_exits, got.latch_exits)
+          << threads << " threads, width " << width;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
