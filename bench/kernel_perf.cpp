@@ -315,8 +315,10 @@ void report_artifact_cache() {
 /// only in rebindable parameters (ΔVt sample, strike charges). This bench
 /// compares the historical shape — a fresh reference-engine simulator per
 /// PV sample (rebuild netlist + solver scratch every time) — against the
-/// compiled engine's rebind-per-sample path, on identical work, and
-/// cross-checks that both produce bit-identical outcomes.
+/// compiled engine's rebind-per-sample path (simulate(): one lane of the
+/// transient engine) and against lane_width()-wide groups of that engine, on
+/// identical work, and cross-checks that all three produce bit-identical
+/// outcomes.
 void report_spice_kernel() {
   const sram::CellDesign design;
   const double vdd = 0.8;
@@ -366,8 +368,8 @@ void report_spice_kernel() {
   // Lane-batched pass: the same workload, rebound lane_width() samples at a
   // time and every charge step of the ladder advanced for the whole lane
   // group in one batched transient — exactly the shape the characterizer
-  // drives. The scalar passes are forced to lane width 1 so the comparison
-  // is batched-vs-scalar-compiled, not batched-vs-itself.
+  // drives. Against the rebind pass (one lane per transient) this measures
+  // what the lane width buys.
   const std::size_t lanes = spice::lane_width();
   const auto run_batched = [&](std::vector<sram::StrikeOutcome>& out) {
     out.assign(static_cast<std::size_t>(kSamples * kSimsPerSample),
@@ -407,18 +409,12 @@ void report_spice_kernel() {
 
   std::vector<sram::StrikeOutcome> ref_out, hot_out, batch_out;
   // Warm-up (page in the models, spin up allocators), then timed passes.
-  // Both timed passes run with observability disabled so neither side pays
-  // the counter overhead; the counters come from a separate untimed pass.
-  double rebuild_s = 0.0, rebind_s = 0.0;
-  {
-    // Scalar reference + compiled-rebind baselines at lane width 1.
-    spice::set_lane_width(1);
-    run_pass(sram::SpiceEngine::kReference, true, ref_out);
-    run_pass(sram::SpiceEngine::kCompiled, false, hot_out);
-    rebuild_s = run_pass(sram::SpiceEngine::kReference, true, ref_out);
-    rebind_s = run_pass(sram::SpiceEngine::kCompiled, false, hot_out);
-    spice::set_lane_width(0);
-  }
+  // Every timed pass runs with observability disabled so no side pays the
+  // counter overhead; the counters come from separate untimed passes.
+  run_pass(sram::SpiceEngine::kReference, true, ref_out);
+  run_pass(sram::SpiceEngine::kCompiled, false, hot_out);
+  const double rebuild_s = run_pass(sram::SpiceEngine::kReference, true, ref_out);
+  const double rebind_s = run_pass(sram::SpiceEngine::kCompiled, false, hot_out);
   run_batched(batch_out);  // Warm-up.
   const double batched_s = run_batched(batch_out);
 
@@ -475,7 +471,7 @@ void report_spice_kernel() {
                     "identical"});
   t.add_row({std::string("rebuild-per-sample (reference)"), rebuild_s,
              rebuild_rate, 1.0, 1.0});
-  t.add_row({std::string("rebind-per-sample (compiled)"), rebind_s,
+  t.add_row({std::string("rebind-per-sample (compiled, W=1)"), rebind_s,
              rebind_rate, speedup, identical ? 1.0 : 0.0});
   t.add_row({std::string("lane-batched W=") + std::to_string(lanes),
              batched_s, batched_rate,

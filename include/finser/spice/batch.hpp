@@ -1,6 +1,6 @@
 #pragma once
 /// \file batch.hpp
-/// \brief Lane-batched compiled transient engine (public surface).
+/// \brief The compiled transient engine, lane-batched (public surface).
 ///
 /// Characterization solves millions of *independent* strike transients on the
 /// same topology: PV samples never interact, so W of them can advance in
@@ -10,23 +10,25 @@
 /// intrinsics): the arithmetic is elementwise IEEE-754 with no reductions
 /// across lanes, so vectorizing it cannot change any lane's bits, and every
 /// transcendental goes through the deterministic kernels of vecmath.hpp.
-/// That is the bit-pinned contract (docs/spice.md): the batched engine is
-/// **byte-identical** to the scalar compiled engine per lane, for every lane
-/// width, at any thread count — W is a pure throughput knob.
+/// That is the bit-pinned contract (docs/spice.md): every lane is
+/// **byte-identical** to the polymorphic reference engine (run_transient,
+/// transient.hpp) with the same binding, for every lane width, at any thread
+/// count — W is a pure throughput knob. It is the only compiled transient
+/// path: a single transient is a group of one (W = 1).
 ///
 /// Lanes are *masked, not branched around*: a converged, finished or failed
 /// lane keeps riding the vector tick (its stamps and LU are computed and
 /// discarded) until the whole group drains. Per-lane Newton bookkeeping —
 /// damping, convergence, step control, the escalation ladder, the latch
-/// exit — stays scalar per lane and mirrors engine_detail.hpp's scalar
-/// transient loop statement for statement.
+/// exit — stays scalar per lane and mirrors the reference transient loop
+/// statement for statement.
 ///
 /// Width selection: the compiled default (`kDefaultLaneWidth`) picks the
 /// widest vector unit the build targets; `set_lane_width()` / the
 /// `FINSER_LANES` env var / the `--lanes` CLI flag override it at runtime
-/// (0 = auto, 1 = the scalar reference). All widths {1, 4, 8} are always
-/// compiled, so a vectorized build can be pinned to the scalar reference
-/// without recompiling.
+/// (0 = auto). Width 1 is the same engine advancing one transient per group,
+/// with no SIMD assumptions. All widths {1, 4, 8} are always compiled, so a
+/// vectorized build can be pinned to width 1 without recompiling.
 
 #include <array>
 #include <cstddef>
@@ -43,7 +45,7 @@ namespace finser::spice {
 inline constexpr std::size_t kMaxLaneWidth = 8;
 
 /// Compile-time auto width: the widest SIMD unit the build targets.
-/// FINSER_SCALAR_LANES (CMake option) forces the portable scalar default.
+/// FINSER_SCALAR_LANES (CMake option) makes the default width 1.
 #if defined(FINSER_SCALAR_LANES)
 inline constexpr std::size_t kDefaultLaneWidth = 1;
 #elif defined(__AVX512F__)
@@ -118,19 +120,21 @@ struct BatchWorkspace {
 struct BatchTransientResult {
   std::vector<Waveform> waves;        ///< Size = lane count.
   std::vector<std::uint8_t> failed;   ///< 1 where the lane's run failed.
-  /// The failure text per failed lane — the same message the scalar engine
-  /// would have thrown as util::NumericalError for that transient.
+  /// The failure text per failed lane — the same message the reference
+  /// engine throws as util::NumericalError for that transient.
   std::vector<std::string> errors;
 };
 
 /// Advance up to bw.lanes independent transients in lockstep. \p x0 supplies
 /// one operating point per lane (size ≤ bw.lanes; an empty entry — or a
 /// missing trailing one — marks the lane inactive, i.e. a masked-off ragged
-/// tail). Per lane this computes byte-identical waveforms, device state and
-/// failure text to scalar run_transient(cc, ws, x0[w], opt, probe_nodes);
-/// a failed lane is reported in the result instead of thrown, and never
-/// perturbs its neighbors. The circuit's per-lane parameters must have been
-/// loaded with batch_rebind_lane() beforehand.
+/// tail). Per lane this computes byte-identical waveforms, reactive state
+/// and failure text to the reference run_transient(cc.source(), x0[w], opt,
+/// probe_nodes) under the lane's binding; a failed lane is reported in the
+/// result instead of thrown, and never perturbs its neighbors. The
+/// circuit's per-lane parameters must have been loaded with
+/// batch_rebind_lane() beforehand. Options are checked as by run_transient
+/// (util::InvalidArgument).
 BatchTransientResult run_transient_batch(
     CompiledCircuit& cc, BatchWorkspace& bw,
     const std::vector<std::vector<double>>& x0, const TransientOptions& opt,

@@ -11,22 +11,23 @@
 ///     records, walked with a switch instead of virtual Device::stamp()
 ///     calls, in the *original netlist order* so the floating-point
 ///     accumulation into each MNA entry is byte-identical to the
-///     polymorphic reference path (both share the kernels in
-///     src/spice/stamp_kernels.hpp).
+///     polymorphic reference path (the fused stamps mirror the kernels in
+///     src/spice/stamp_kernels.hpp term for term).
 ///   * **Per-kind SoA parameter arrays** — precomputed unknown indices and
-///     parameters, contiguous per device kind; reactive state (capacitor
-///     histories) lives here too, so evaluating a compiled circuit never
-///     touches the polymorphic devices.
+///     parameters, contiguous per device kind, so evaluating a compiled
+///     circuit never touches the polymorphic devices.
 ///   * **rebind()** — refreshes every *mutable* parameter (Mosfet ΔVt and
 ///     temperature, VSource voltage, PulseISource shape) from the source
 ///     circuit without reallocating devices, nodes or plans. A Vt-variation
 ///     MC sample or an injected-charge step is a rebind, not a rebuild.
 ///
-/// Together with SolveWorkspace (preallocated Mna + Newton scratch + pivot
-/// cache) the compiled entry points of solve_dc()/run_transient() run the
-/// characterization hot path without per-sample allocation. The polymorphic
-/// path remains the reference implementation; equivalence is pinned
-/// bit-exact by tests/test_spice_compiled.cpp. Lifecycle details and the
+/// A compiled circuit is evaluated two ways: the DC hold solve
+/// (solve_dc(CompiledCircuit&, SolveWorkspace&, …), through stamp_fused())
+/// and the transient engine (run_transient_batch(), batch.hpp, through the
+/// batch_* hooks; width 1 is a lane group of one). Transient reactive state
+/// lives per lane in the BatchWorkspace, not here. The polymorphic path
+/// remains the reference implementation; equivalence is pinned bit-exact by
+/// tests/test_spice_compiled.cpp. Lifecycle details and the
 /// when-to-recompile table: docs/spice.md.
 
 #include <cstdint>
@@ -58,36 +59,23 @@ class CompiledCircuit {
   std::size_t unknown_count() const { return unknown_count_; }
   std::size_t device_count() const { return ops_.size(); }
 
-  // --- Engine hooks (mirror the Device interface, devirtualized) ----------
-
-  /// Contribute every device's linearized companion model at ctx's iterate.
-  void stamp_all(Mna& mna, const StampContext& ctx) const;
-
-  /// Fused-path stamp: identical contributions in identical order to
-  /// stamp_all(), written through precomputed flat slot indices into raw
-  /// dense arrays instead of Mna::add() calls. \p a must have
+  /// DC stamp at the iterate \p x: the contributions Device::stamp() makes
+  /// with StampContext::transient false (capacitors and strike sources are
+  /// open), in netlist order, written through precomputed flat slot indices
+  /// into raw dense arrays instead of Mna::add() calls. \p a must have
   /// unknown_count()² + 1 zeroed entries and \p b unknown_count() + 1 —
   /// the final entry of each is a scratch slot absorbing ground stamps
-  /// (branch-free equivalent of Mna's kGround drop). Used by the engine's
-  /// compiled Newton kernel (engine_detail.hpp); bit-identity with
-  /// stamp_all() is pinned by tests/test_spice_compiled.cpp.
-  void stamp_fused(double* a, double* b, const StampContext& ctx) const;
+  /// (branch-free equivalent of Mna's kGround drop). Used by the compiled
+  /// DC Newton stage (engine_detail.hpp); bit-identity with the reference
+  /// stamps is pinned by tests/test_spice_compiled.cpp.
+  void stamp_fused(double* a, double* b, const std::vector<double>& x) const;
 
-  /// Reset reactive state from the DC operating point \p x.
-  void initialize_state(const std::vector<double>& x);
-
-  /// Advance reactive state after an accepted time step.
-  void commit(const StampContext& ctx);
-
-  /// Append hard time points (source edges) within [0, t_end].
-  void add_breakpoints(double t_end, std::vector<double>& out) const;
-
-  // --- Lane-batched engine hooks (batch.hpp; see docs/spice.md) -----------
-  // The batched transient engine (engine_detail.hpp) advances W independent
+  // --- Transient engine hooks (batch.hpp; see docs/spice.md) --------------
+  // The transient engine (engine_detail.hpp) advances W independent
   // parameter bindings of *this one compiled plan* in lockstep. Per-lane
   // parameters and state live in the caller's BatchWorkspace as AoSoA
-  // blocks; the hooks below mirror the scalar hooks above one lane at a
-  // time (scalar bookkeeping) or all lanes at once (the hot stamp).
+  // blocks; the hooks below mirror the Device interface one lane at a time
+  // (step bookkeeping) or all lanes at once (the hot stamp).
 
   /// Size \p bw for \p lanes lanes of this circuit and seed every lane from
   /// the current scalar binding. Invalidates the per-lane pivot caches.
@@ -99,15 +87,16 @@ class CompiledCircuit {
   void batch_rebind_lane(BatchWorkspace& bw, std::size_t lane) const;
 
   /// Fused transient stamp of every lane at once: per lane w this computes
-  /// byte-identically what stamp_fused() computes at time[w] / dt[w] from
-  /// bw.x_try's lane-w iterate, accumulating into bw.fa / bw.fb (which must
-  /// be zeroed). Every lane is stamped unconditionally — masked lanes are
+  /// byte-identically what Device::stamp() contributes at time[w] / dt[w]
+  /// from bw.x_try's lane-w iterate, accumulating into bw.fa / bw.fb (which
+  /// must be zeroed). Every lane is stamped unconditionally — masked lanes are
   /// compute-and-discard riders, which is what keeps the loop vector-shaped.
   template <std::size_t W>
   void batch_stamp_fused(BatchWorkspace& bw, const double* time,
                          const double* dt, Integrator method) const;
 
-  /// Per-lane mirrors of the scalar state hooks above.
+  /// Per-lane mirrors of Device::initialize_state / commit /
+  /// add_breakpoints.
   void batch_initialize_state(BatchWorkspace& bw, std::size_t lane,
                               const std::vector<double>& x) const;
   void batch_commit(BatchWorkspace& bw, std::size_t lane, double time,
@@ -139,33 +128,31 @@ class CompiledCircuit {
   struct ResistorRec {
     std::size_t a, b;
     double g;
-    Slot s_aa, s_bb, s_ab, s_ba;
+    Slot s_aa{}, s_bb{}, s_ab{}, s_ba{};
   };
   struct CapacitorRec {
     std::size_t a, b;
     double c;
-    double v_prev = 0.0;
-    double i_prev = 0.0;
-    Slot s_aa, s_bb, s_ab, s_ba, r_a, r_b;
+    Slot s_aa{}, s_bb{}, s_ab{}, s_ba{}, r_a{}, r_b{};
   };
   struct VSourceRec {
     const VSource* src;
     std::size_t a, b, branch;
     double v;
-    Slot s_ak, s_bk, s_ka, s_kb, r_k;
+    Slot s_ak{}, s_bk{}, s_ka{}, s_kb{}, r_k{};
   };
   struct PwlRec {
     // The waveform table is immutable, so it is read through the source
     // device instead of being copied into the plan.
     const PwlVSource* src;
     std::size_t a, b, branch;
-    Slot s_ak, s_bk, s_ka, s_kb, r_k;
+    Slot s_ak{}, s_bk{}, s_ka{}, s_kb{}, r_k{};
   };
   struct ISourceRec {
     const PulseISource* src;
     std::size_t from, to;
     PulseShape shape;
-    Slot r_from, r_to;
+    Slot r_from{}, r_to{};
   };
   struct MosRec {
     const Mosfet* src;
@@ -174,8 +161,8 @@ class CompiledCircuit {
     double nfin;
     double delta_vt;
     double temp_k;
-    FinFetPlan plan;  ///< Baked at compile/rebind (see finfet.hpp).
-    Slot s_dd, s_dg, s_ds, s_sd, s_sg, s_ss, r_d, r_s;
+    FinFetPlan plan{};  ///< Baked at compile/rebind (see finfet.hpp).
+    Slot s_dd{}, s_dg{}, s_ds{}, s_sd{}, s_sg{}, s_ss{}, r_d{}, r_s{};
   };
 
   const Circuit* src_;
@@ -190,22 +177,21 @@ class CompiledCircuit {
   std::vector<MosRec> mosfets_;
 };
 
-/// Preallocated scratch of the compiled solve paths: the MNA system, the
-/// pivot-order cache and every Newton/transient work vector. One workspace
-/// per (thread, compiled circuit); reusing it across solves is what removes
-/// the per-sample allocations of the reference path. A workspace adapts
-/// automatically when handed a system of a different size (and drops the
-/// pivot cache, which is topology-specific).
+/// Preallocated scratch of the DC solve (and of the reference transient):
+/// the MNA system, the pivot-order cache and the Newton work vectors. The
+/// compiled DC solve keeps one workspace per (thread, compiled circuit);
+/// reusing it across solves is what removes the per-sample allocations of
+/// the reference path, which builds a throwaway one per call. A workspace
+/// adapts automatically when handed a system of a different size (and drops
+/// the pivot cache, which is topology-specific).
 struct SolveWorkspace {
   Mna::PivotCache pivot;
   std::vector<double> x_new;     ///< Newton candidate iterate.
-  std::vector<double> x_try;     ///< Transient trial state.
   std::vector<double> x_good;    ///< DC: last converged iterate.
   std::vector<double> anchor;    ///< DC: gmin anchor (initial guess copy).
   std::vector<double> gmin_schedule;  ///< DC: extensible continuation schedule.
-  std::vector<double> breaks;    ///< Transient: hard breakpoint times.
 
-  // --- Fused solve-kernel scratch (compiled path only) ---------------------
+  // --- Fused solve-kernel scratch (compiled DC only) -----------------------
   // Raw dense system written by CompiledCircuit::stamp_fused(): fa holds the
   // n×n matrix row-major plus one trailing ground-scratch slot, fb the rhs
   // plus one, fperm the pivot permutation of the in-place factorization.

@@ -89,8 +89,8 @@ struct FEval {
 /// (half > 40: l = half exactly; half < -40: l ~ e^{u/2}, harmless
 /// underflow). Selects instead of branches keep the function vectorizable
 /// when the lane-batched engine inlines it into a loop over lanes, and the
-/// shared kernels keep every engine path — reference, compiled scalar,
-/// every batch width — bit-identical by construction (the bit-pinned
+/// shared kernels keep every engine path — reference, compiled DC, every
+/// batch width — bit-identical by construction (the bit-pinned
 /// contract, docs/spice.md).
 inline FEval ekv_f(double u) {
   const double half = 0.5 * u;

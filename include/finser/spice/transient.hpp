@@ -9,6 +9,10 @@
 /// while Newton converges easily, and step rejection/shrinking on
 /// convergence failure. Integrators: backward Euler (robust default) and
 /// trapezoidal (2nd order, used by accuracy cross-checks).
+///
+/// Two engines run this algorithm: run_transient() below is the polymorphic
+/// reference, and run_transient_batch() (batch.hpp) is the compiled engine,
+/// lane-batched at any width including 1. They agree byte for byte.
 
 #include <iosfwd>
 #include <string>
@@ -17,9 +21,6 @@
 #include "finser/spice/circuit.hpp"
 
 namespace finser::spice {
-
-class CompiledCircuit;
-struct SolveWorkspace;
 
 /// Recorded node waveforms of one transient run.
 class Waveform {
@@ -65,9 +66,9 @@ struct TransientOptions {
   double dt_initial = 1e-15;    ///< First step [s].
   double dt_min = 1e-20;        ///< Below this a non-converging run aborts.
   double dt_max = 1e-12;        ///< Step-size ceiling [s].
-  double grow_factor = 1.4;     ///< Step growth after an easy accept.
-  double shrink_factor = 0.25;  ///< Step shrink on Newton failure.
-  int max_newton = 60;          ///< Newton iterations per step.
+  double grow_factor = 1.4;     ///< Step growth after an easy accept (>= 1).
+  double shrink_factor = 0.25;  ///< Step shrink on Newton failure, in (0, 1).
+  int max_newton = 60;          ///< Newton iterations per step (>= 1).
   double v_tol = 1e-7;          ///< Newton convergence threshold [V].
   double damping_vmax = 0.4;    ///< Newton damping clamp [V].
   Integrator method = Integrator::kBackwardEuler;
@@ -76,7 +77,7 @@ struct TransientOptions {
   /// Newton settings (double max_newton, halve damping_vmax, re-enter with
   /// a smaller fresh dt) before throwing NumericalError. The escalation is
   /// deterministic — no randomness, no wall-clock — so retried runs stay
-  /// reproducible. 0 disables the ladder.
+  /// reproducible. 0 disables the ladder; negative values are rejected.
   int max_restarts = 2;
   /// Latch exit [V]; 0 (the default) always runs to t_end. When positive,
   /// the probe list is read as (node, complement) pairs, and a run ends
@@ -91,22 +92,15 @@ struct TransientOptions {
   double latch_rail_v = 0.0;
 };
 
-/// Run a transient from the operating point \p x0 (from solve_dc).
+/// Reference transient from the operating point \p x0 (from solve_dc).
 /// Devices' internal state is initialized from \p x0, advanced, and left at
 /// the final time — t_end, or the latch exit's (re-run requires re-solving
 /// DC first).
 /// \param probe_nodes node names to record; empty records every node.
+/// \throws util::InvalidArgument on inconsistent options (see
+///         TransientOptions), util::NumericalError when a step still fails
+///         after the escalation ladder.
 Waveform run_transient(const Circuit& circuit, const std::vector<double>& x0,
-                       const TransientOptions& options,
-                       const std::vector<std::string>& probe_nodes = {});
-
-/// Compiled hot-path overload: same algorithm and bit-identical waveforms,
-/// but stamps through the devirtualized plan and keeps all solver scratch in
-/// the caller-owned \p ws so repeated runs allocate only the waveform. The
-/// compiled circuit's reactive state is initialized from \p x0 and left at
-/// the final time, mirroring the reference path's device-state contract.
-Waveform run_transient(CompiledCircuit& circuit, SolveWorkspace& ws,
-                       const std::vector<double>& x0,
                        const TransientOptions& options,
                        const std::vector<std::string>& probe_nodes = {});
 

@@ -13,11 +13,11 @@
 /// fexp()/flog1p() below are the replacement: straight-line, select-based
 /// (no data-dependent branches), fixed evaluation order, written against
 /// IEEE-754 double semantics only. Compiled with floating-point contraction
-/// disabled (the build forces -ffp-contract=off) every target — scalar
-/// reference, compiled scalar, and every batch lane width — computes the
-/// exact same bit pattern for the same input, on any x86-64 feature level.
-/// That is the **bit-pinned contract**: the batched engine is byte-identical
-/// to the scalar one because both call these very kernels, and a loop over
+/// disabled (the build forces -ffp-contract=off) every target — the
+/// reference engine, the compiled DC solve, and every batch lane width —
+/// computes the exact same bit pattern for the same input, on any x86-64
+/// feature level. That is the **bit-pinned contract**: the batched engine is
+/// byte-identical to the reference one because both call these very kernels, and a loop over
 /// lanes auto-vectorizes them without changing per-lane results (elementwise
 /// IEEE ops are bitwise identical scalar or SIMD; there is nothing to
 /// reassociate).

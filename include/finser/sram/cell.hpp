@@ -107,10 +107,11 @@ enum class AccessMode {
 enum class SpiceEngine {
   /// Compile-once/evaluate-many: the cell circuit is lowered to a
   /// spice::CompiledCircuit at construction; every sample is a parameter
-  /// rebind plus a solve against a persistent SolveWorkspace, and the DC
-  /// hold state is cached per ΔVt vector (it is independent of the strike
-  /// charges, so a whole Qcrit bisection shares one DC solve). Results are
-  /// bit-identical to the reference engine.
+  /// rebind, a DC solve against a persistent SolveWorkspace and a run of the
+  /// lane-batched transient engine (spice/batch.hpp). The DC hold state is
+  /// cached per ΔVt vector (it is independent of the strike charges, so a
+  /// whole Qcrit bisection shares one DC solve). Results are bit-identical
+  /// to the reference engine.
   kCompiled,
   /// Polymorphic reference path: rebuilds solver scratch per solve, exactly
   /// the historical behavior. Kept as the equivalence baseline.
@@ -129,13 +130,15 @@ class StrikeSimulator {
 
   /// Simulate a strike delivering \p charges with the given pulse shape
   /// kind and threshold shifts. The pulse width is the transit time
-  /// τ = L²/(μ·Vdd) (paper Eq. 2).
+  /// τ = L²/(μ·Vdd) (paper Eq. 2). The compiled engine runs it as a lane
+  /// group of one on a workspace of its own, so simulate() never disturbs
+  /// simulate_batch()'s lanes or their DC hold caches.
   StrikeOutcome simulate(
       const StrikeCharges& charges, const DeltaVt& delta_vt = {},
       spice::PulseShape::Kind kind = spice::PulseShape::Kind::kRectangular);
 
-  /// Per-lane result of simulate_batch(). A failed lane carries the text the
-  /// scalar simulate() would have thrown as util::NumericalError.
+  /// Per-lane result of simulate_batch(). A failed lane carries the text
+  /// simulate() would have thrown as util::NumericalError.
   struct LaneOutcome {
     StrikeOutcome outcome;
     bool failed = false;
@@ -147,13 +150,13 @@ class StrikeSimulator {
   /// lockstep (larger groups are split internally; inactive lanes are masked
   /// off, and their \p out entries are left untouched). Each active lane's
   /// outcome — flip decision, final node voltages, failure text — is
-  /// byte-identical to a scalar simulate() call with the same inputs; a
-  /// failing lane is reported in \p out instead of thrown. Lane k keeps a
-  /// ΔVt-keyed DC hold cache of its own (slot k % lane_width()), so a caller
-  /// that keeps each sample in a stable lane across repeated calls — the
-  /// characterizer's charge ladders do — pays one DC solve per sample.
-  /// With the reference engine or lane_width() == 1 this degrades to the
-  /// scalar loop (the byte-identity reference).
+  /// byte-identical to a simulate() call with the same inputs; a failing
+  /// lane is reported in \p out instead of thrown. Lane k keeps a ΔVt-keyed
+  /// DC hold cache of its own (slot k % lane_width()), so a caller that
+  /// keeps each sample in a stable lane across repeated calls — the
+  /// characterizer's charge ladders do — pays one DC solve per sample. At
+  /// lane_width() 1 the groups hold one sample each; with the reference
+  /// engine this is a loop over simulate().
   void simulate_batch(
       const std::vector<StrikeCharges>& charges,
       const std::vector<DeltaVt>& dvts, spice::PulseShape::Kind kind,
@@ -177,13 +180,15 @@ class StrikeSimulator {
 
  private:
   void apply_delta_vt(const DeltaVt& delta_vt);
+  /// Initial guess of every DC hold solve: the cell storing Q=1/QB=0.
+  std::vector<double> hold_guess() const;
   std::vector<double> solve_hold(const DeltaVt& delta_vt);
   void set_strike_shapes(const StrikeCharges& charges,
                          spice::PulseShape::Kind kind);
   /// Compiled engine only; expects apply_delta_vt() + rebind() done.
   const std::vector<double>& hold_cached(const DeltaVt& delta_vt);
-  /// The one flip predicate of both engines and the batched path, applied
-  /// to a {"q", "qb"} waveform.
+  /// The one flip predicate of both engines, applied to a {"q", "qb"}
+  /// waveform.
   StrikeOutcome outcome_of(const spice::Waveform& wave) const;
 
   CellDesign design_;
@@ -201,10 +206,12 @@ class StrikeSimulator {
   spice::PulseISource* src_i3_ = nullptr;
   spice::TransientOptions topt_;
 
-  // Compiled-engine state: the lowered circuit, the per-simulator solver
-  // workspace, and the ΔVt-keyed DC hold-state cache.
+  // Compiled-engine state: the lowered circuit, the per-simulator DC solver
+  // workspace, simulate()'s one-lane transient workspace and its ΔVt-keyed
+  // DC hold-state cache.
   std::optional<spice::CompiledCircuit> compiled_;
   spice::SolveWorkspace ws_;
+  spice::BatchWorkspace one_lane_;
   bool hold_valid_ = false;
   DeltaVt hold_dvt_{};
   std::vector<double> hold_x_;

@@ -17,7 +17,7 @@
 ///    pass gates), per-cell storage nodes, threshold-shift rebind slots and
 ///    strike-current sources. Process-variation sampling runs lane-batched
 ///    through the AoSoA batch engine, so every lane's outcome is
-///    byte-identical to a scalar evaluation at any `--lanes` width.
+///    byte-identical to a one-sample evaluation at any `--lanes` width.
 ///
 ///  * ClusterPofSurface — the cluster-level analogue of the per-cell POF
 ///    LUT: a memoized map from the *quantized joint charge vector* of a
@@ -110,7 +110,8 @@ inline std::uint8_t cluster_local_index(std::uint32_t row, std::uint32_t col,
 /// into the I1/I2/I3 triple), cells of one tile column share their
 /// bitlines, and all cells share the supply and (low) wordline rails. The
 /// netlist is lowered once into a spice::CompiledCircuit; each evaluation
-/// is a parameter rebind, never a rebuild.
+/// is a parameter rebind, never a rebuild, and every joint transient runs on
+/// the lane-batched engine (spice/batch.hpp).
 class ClusterSimulator {
  public:
   ClusterSimulator(const CellDesign& design, double vdd_v,
@@ -135,16 +136,19 @@ class ClusterSimulator {
   };
 
   /// Simulate one simultaneous strike into the tile. \p dvts carries one
-  /// DeltaVt per tile cell (flat local order).
+  /// DeltaVt per tile cell (flat local order). Runs as a lane group of one
+  /// on a workspace of its own, leaving simulate_batch()'s lanes untouched.
+  /// \throws util::NumericalError when the DC or the transient fails.
   Outcome simulate(const std::vector<CellStrike>& strikes,
                    const std::vector<DeltaVt>& dvts,
                    spice::PulseShape::Kind kind);
 
   /// Lane-batched simulate() over process-variation samples: sample s runs
   /// with \p dvt_samples[s], all sharing \p strikes. Samples are packed
-  /// into SIMD lanes in index order; each lane's outcome is byte-identical
-  /// to a scalar simulate() with the same inputs, so results do not depend
-  /// on the configured lane width.
+  /// into lane_width() lanes in index order; each lane's outcome is
+  /// byte-identical to a simulate() with the same inputs, so results do not
+  /// depend on the configured lane width. A failing sample is reported in
+  /// its Outcome instead of thrown.
   void simulate_batch(const std::vector<CellStrike>& strikes,
                       const std::vector<std::vector<DeltaVt>>& dvt_samples,
                       spice::PulseShape::Kind kind, std::vector<Outcome>& out);
@@ -176,8 +180,9 @@ class ClusterSimulator {
   spice::TransientOptions topt_;
 
   std::optional<spice::CompiledCircuit> compiled_;
-  spice::SolveWorkspace ws_;
-  spice::BatchWorkspace bw_;
+  spice::SolveWorkspace ws_;        ///< DC hold solves.
+  spice::BatchWorkspace one_lane_;  ///< simulate()'s transient.
+  spice::BatchWorkspace bw_;        ///< simulate_batch(), lane_width() wide.
 };
 
 /// Memoized cluster-level POF surface: quantized joint charge vector →

@@ -4,7 +4,6 @@
 
 #include "finser/obs/obs.hpp"
 #include "finser/util/error.hpp"
-#include "stamp_kernels.hpp"
 
 namespace finser::spice {
 
@@ -22,8 +21,7 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit)
     } else if (const auto* c = dynamic_cast<const Capacitor*>(d)) {
       ops_.push_back({Kind::kCapacitor,
                       static_cast<std::uint32_t>(capacitors_.size())});
-      capacitors_.push_back(
-          {c->node_a(), c->node_b(), c->capacitance(), 0.0, 0.0});
+      capacitors_.push_back({c->node_a(), c->node_b(), c->capacitance()});
     } else if (const auto* p = dynamic_cast<const PwlVSource*>(d)) {
       ops_.push_back({Kind::kPwlVSource,
                       static_cast<std::uint32_t>(pwls_.size())});
@@ -125,55 +123,17 @@ void CompiledCircuit::rebind() {
   FINSER_OBS_COUNT("spice.compiled.rebinds", 1);
 }
 
-void CompiledCircuit::stamp_all(Mna& mna, const StampContext& ctx) const {
-  // Walk the plan in original netlist order: FP accumulation into shared MNA
-  // entries is order-sensitive, and bit-identity with the reference path
-  // requires the exact same Mna::add sequence.
-  for (const Op op : ops_) {
-    switch (op.kind) {
-      case Kind::kResistor: {
-        const ResistorRec& r = resistors_[op.idx];
-        detail::stamp_conductance(mna, r.a, r.b, r.g);
-        break;
-      }
-      case Kind::kCapacitor: {
-        const CapacitorRec& c = capacitors_[op.idx];
-        detail::stamp_capacitor(mna, ctx, c.a, c.b, c.c, c.v_prev, c.i_prev);
-        break;
-      }
-      case Kind::kVSource: {
-        const VSourceRec& v = vsources_[op.idx];
-        detail::stamp_vsource(mna, ctx, v.a, v.b, v.branch, v.v);
-        break;
-      }
-      case Kind::kPwlVSource: {
-        const PwlRec& p = pwls_[op.idx];
-        detail::stamp_vsource(mna, ctx, p.a, p.b, p.branch,
-                              p.src->value(ctx.transient ? ctx.time : 0.0));
-        break;
-      }
-      case Kind::kPulseISource: {
-        const ISourceRec& s = isources_[op.idx];
-        detail::stamp_isource(mna, ctx, s.from, s.to, s.shape);
-        break;
-      }
-      case Kind::kMosfet: {
-        const MosRec& m = mosfets_[op.idx];
-        detail::stamp_mosfet(mna, ctx, m.d, m.g, m.s, *m.model, m.nfin,
-                             m.delta_vt, m.temp_k);
-        break;
-      }
-    }
-  }
-}
-
 void CompiledCircuit::stamp_fused(double* a, double* b,
-                                  const StampContext& ctx) const {
-  // Same netlist-order walk and the same arithmetic as stamp_all(), with
-  // Mna::add replaced by precomputed-slot accumulation (ground writes land in
-  // the trailing scratch slot). Every expression below mirrors the matching
-  // kernel in stamp_kernels.hpp term for term — the fused system must be
-  // byte-identical to the Mna the reference path assembles.
+                                  const std::vector<double>& x) const {
+  // Netlist-order walk with the DC arithmetic of the stamp_kernels.hpp
+  // kernels, Mna::add replaced by precomputed-slot accumulation (ground
+  // writes land in the trailing scratch slot). Every expression mirrors its
+  // kernel term for term — the fused system must be byte-identical to the
+  // Mna the reference path assembles. Capacitors and strike sources are open
+  // in DC and contribute nothing.
+  const auto v = [&x](std::size_t node) {
+    return node == kGround ? 0.0 : x[node];
+  };
   for (const Op op : ops_) {
     switch (op.kind) {
       case Kind::kResistor: {
@@ -184,27 +144,16 @@ void CompiledCircuit::stamp_fused(double* a, double* b,
         a[r.s_ba] += -r.g;
         break;
       }
-      case Kind::kCapacitor: {
-        if (!ctx.transient) break;  // Open circuit in DC.
-        FINSER_REQUIRE(ctx.dt > 0.0, "Capacitor::stamp: non-positive dt");
-        const CapacitorRec& c = capacitors_[op.idx];
-        const double geq = detail::cap_geq(ctx, c.c);
-        const double ieq = detail::cap_ieq(ctx, c.c, c.v_prev, c.i_prev);
-        a[c.s_aa] += geq;
-        a[c.s_bb] += geq;
-        a[c.s_ab] += -geq;
-        a[c.s_ba] += -geq;
-        b[c.r_a] += ieq;
-        b[c.r_b] += -ieq;
+      case Kind::kCapacitor:
+      case Kind::kPulseISource:
         break;
-      }
       case Kind::kVSource: {
-        const VSourceRec& v = vsources_[op.idx];
-        a[v.s_ak] += 1.0;
-        a[v.s_bk] += -1.0;
-        a[v.s_ka] += 1.0;
-        a[v.s_kb] += -1.0;
-        b[v.r_k] += v.v;
+        const VSourceRec& vs = vsources_[op.idx];
+        a[vs.s_ak] += 1.0;
+        a[vs.s_bk] += -1.0;
+        a[vs.s_ka] += 1.0;
+        a[vs.s_kb] += -1.0;
+        b[vs.r_k] += vs.v;
         break;
       }
       case Kind::kPwlVSource: {
@@ -213,23 +162,14 @@ void CompiledCircuit::stamp_fused(double* a, double* b,
         a[p.s_bk] += -1.0;
         a[p.s_ka] += 1.0;
         a[p.s_kb] += -1.0;
-        b[p.r_k] += p.src->value(ctx.transient ? ctx.time : 0.0);
-        break;
-      }
-      case Kind::kPulseISource: {
-        if (!ctx.transient) break;
-        const ISourceRec& s = isources_[op.idx];
-        const double i = s.shape.value(ctx.time);
-        if (i == 0.0) break;
-        b[s.r_from] += -i;
-        b[s.r_to] += i;
+        b[p.r_k] += p.src->value(0.0);
         break;
       }
       case Kind::kMosfet: {
         const MosRec& m = mosfets_[op.idx];
-        const double vd = ctx.v(m.d);
-        const double vg = ctx.v(m.g);
-        const double vs = ctx.v(m.s);
+        const double vd = v(m.d);
+        const double vg = v(m.g);
+        const double vs = v(m.s);
         const MosOp mop = evaluate_finfet_planned(m.plan, vd, vg, vs);
         const double ieq =
             mop.ids - mop.gm * (vg - vs) - mop.gds * (vd - vs);
@@ -245,32 +185,6 @@ void CompiledCircuit::stamp_fused(double* a, double* b,
         break;
       }
     }
-  }
-}
-
-void CompiledCircuit::initialize_state(const std::vector<double>& x) {
-  for (CapacitorRec& c : capacitors_) {
-    const double va = c.a == kGround ? 0.0 : x[c.a];
-    const double vb = c.b == kGround ? 0.0 : x[c.b];
-    c.v_prev = va - vb;
-    c.i_prev = 0.0;  // DC steady state: no capacitor current.
-  }
-}
-
-void CompiledCircuit::commit(const StampContext& ctx) {
-  for (CapacitorRec& c : capacitors_) {
-    detail::commit_capacitor(ctx, c.c, c.a, c.b, c.v_prev, c.i_prev);
-  }
-}
-
-void CompiledCircuit::add_breakpoints(double t_end,
-                                      std::vector<double>& out) const {
-  // Breakpoints are sorted and deduplicated by the transient engine, so the
-  // per-kind (rather than netlist-order) walk here is observationally
-  // identical to the reference path.
-  for (const PwlRec& p : pwls_) p.src->add_breakpoints(t_end, out);
-  for (const ISourceRec& s : isources_) {
-    detail::pulse_breakpoints(s.shape, t_end, out);
   }
 }
 

@@ -1,10 +1,10 @@
 /// \file compiled_batch.cpp
 /// \brief Lane-batched hooks of CompiledCircuit (see batch.hpp).
 ///
-/// Every expression here mirrors the matching scalar hook in compiled.cpp /
+/// Every expression here mirrors the matching device kernel in
 /// stamp_kernels.hpp term for term, evaluated per lane on the AoSoA slices:
-/// that is what makes each lane byte-identical to a scalar run with the same
-/// binding. The hot stamp (batch_stamp_fused) is written as compile-time-W
+/// that is what makes each lane byte-identical to a reference run with the
+/// same binding. The hot stamp (batch_stamp_fused) is written as compile-time-W
 /// lane loops over unit-stride slices with uniform (lane-invariant) branches
 /// hoisted and the rest in select form, so the compiler vectorizes it
 /// without being allowed to change any lane's arithmetic.
@@ -225,8 +225,8 @@ void CompiledCircuit::batch_stamp_fused(BatchWorkspace& bw, const double* time,
           // Select-form evaluate_finfet_planned() on the per-lane plan:
           // PMOS reflection (uniform), then the source-drain-swap frame as
           // input/output selects around one core evaluation — the same
-          // expressions the scalar path runs in whichever branch the lane
-          // would have taken.
+          // expressions the branchy evaluate_finfet() runs in whichever
+          // branch the lane would have taken.
           const double vd = std::bit_cast<double>(
               std::bit_cast<std::uint64_t>(vd0) ^ pt_flip);
           const double vg = std::bit_cast<double>(
@@ -254,7 +254,7 @@ void CompiledCircuit::batch_stamp_fused(BatchWorkspace& bw, const double* time,
           const double o_gds = fwd ? gds : gm + gds;
           const double mids = std::bit_cast<double>(
               std::bit_cast<std::uint64_t>(o_ids) ^ pt_flip);
-          // Stamp in the original frame, mirroring stamp_fused()'s kMosfet.
+          // Stamp in the original frame, mirroring stamp_mosfet().
           l_ieq[w] = mids - o_gm * (vg0 - vs0) - o_gds * (vd0 - vs0);
           l_gds[w] = o_gds;
           l_gm[w] = o_gm;

@@ -1,24 +1,25 @@
 #pragma once
 /// \file engine_detail.hpp
-/// \brief Shared DC/transient solver engine (internal to finser::spice).
+/// \brief Shared solver engine internals (internal to finser::spice).
 ///
-/// The Newton/continuation/time-stepping algorithms exist exactly once,
-/// templated over a *Stamper* policy that supplies circuit topology and the
-/// four device hooks (stamp_all / initialize_state / commit /
-/// add_breakpoints):
+/// The DC Newton/gmin-continuation algorithm exists exactly once, templated
+/// over a *Stamper* policy that supplies the circuit size and its DC stamp:
 ///
-///   * InterpretedStamper — walks the polymorphic Device list of a Circuit.
-///     This is the reference path; behavior of the classic
-///     solve_dc(Circuit&)/run_transient(Circuit&) entry points.
-///   * CompiledStamper — walks a CompiledCircuit's devirtualized stamp plan.
-///     This is the characterization hot path; callers keep a SolveWorkspace
-///     alive across solves so Newton scratch, the MNA system and the pivot
-///     cache are allocated once per (thread, topology).
+///   * InterpretedStamper — walks the polymorphic Device list of a Circuit
+///     through Mna. This is the reference path behind
+///     solve_dc(const Circuit&).
+///   * CompiledStamper — a CompiledCircuit's devirtualized plan, stamped
+///     into the raw dense arrays of the fused solve kernel below. Callers
+///     keep a SolveWorkspace alive across solves, so the hot DC hold solve
+///     allocates nothing per sample.
 ///
-/// Because both stampers emit stamps through the kernels in
-/// stamp_kernels.hpp in the same device order, and both paths run this very
-/// engine, the two entry-point families produce byte-identical results
-/// (pinned by tests/test_spice_compiled.cpp).
+/// Transients have one compiled engine, the lane-batched one at the end of
+/// this file (run_transient_batch_impl<W>; width 1 is a lane group of one).
+/// The reference transient lives in transient.cpp and shares the option
+/// checks and the latch-exit rule defined here. The compiled stamps mirror
+/// the kernels of stamp_kernels.hpp term for term in netlist order, so the
+/// reference and compiled paths produce byte-identical results (pinned by
+/// tests/test_spice_compiled.cpp).
 
 #include <algorithm>
 #include <array>
@@ -39,65 +40,38 @@
 
 namespace finser::spice::detail {
 
-/// Stamper policy over the polymorphic reference path.
+/// DC stamper policy over the polymorphic reference path.
 struct InterpretedStamper {
   const Circuit& c;
 
-  /// The reference path solves through Mna: it is the legacy baseline the
-  /// fused compiled kernel is benchmarked (and bit-compared) against.
+  /// The reference path solves through Mna: it is the baseline the fused
+  /// compiled kernel is benchmarked (and bit-compared) against.
   static constexpr bool kFusedSolve = false;
 
   std::size_t node_count() const { return c.node_count(); }
   std::size_t unknown_count() const { return c.unknown_count(); }
-  const std::string& node_name(std::size_t i) const { return c.node_name(i); }
-  std::size_t find_node(const std::string& name) const { return c.find_node(name); }
 
   void stamp_all(Mna& mna, const StampContext& ctx) const {
     for (const auto& dev : c.devices()) dev->stamp(mna, ctx);
   }
-  void initialize_state(const std::vector<double>& x) const {
-    for (const auto& dev : c.devices()) dev->initialize_state(x);
-  }
-  void commit(const StampContext& ctx) const {
-    for (const auto& dev : c.devices()) dev->commit(ctx);
-  }
-  void add_breakpoints(double t_end, std::vector<double>& out) const {
-    for (const auto& dev : c.devices()) dev->add_breakpoints(t_end, out);
-  }
 };
 
-/// Stamper policy over a compiled circuit's devirtualized plan.
+/// DC stamper policy over a compiled circuit's devirtualized plan.
 struct CompiledStamper {
-  CompiledCircuit& cc;
+  const CompiledCircuit& cc;
 
   static constexpr bool kFusedSolve = true;
 
   std::size_t node_count() const { return cc.node_count(); }
   std::size_t unknown_count() const { return cc.unknown_count(); }
-  const std::string& node_name(std::size_t i) const {
-    return cc.source().node_name(i);
-  }
-  std::size_t find_node(const std::string& name) const {
-    return cc.source().find_node(name);
-  }
 
-  void stamp_all(Mna& mna, const StampContext& ctx) const {
-    cc.stamp_all(mna, ctx);
-  }
-  void stamp_fused(double* a, double* b, const StampContext& ctx) const {
-    cc.stamp_fused(a, b, ctx);
-  }
-  void initialize_state(const std::vector<double>& x) const {
-    cc.initialize_state(x);
-  }
-  void commit(const StampContext& ctx) const { cc.commit(ctx); }
-  void add_breakpoints(double t_end, std::vector<double>& out) const {
-    cc.add_breakpoints(t_end, out);
+  void stamp_fused(double* a, double* b, const std::vector<double>& x) const {
+    cc.stamp_fused(a, b, x);
   }
 };
 
 // ---------------------------------------------------------------------------
-// Fused solve kernel (compiled path)
+// Fused solve kernel (compiled DC)
 // ---------------------------------------------------------------------------
 
 /// LU solve on the raw fused workspace arrays (ws.fa / ws.fb / ws.fperm, as
@@ -105,7 +79,7 @@ struct CompiledStamper {
 /// transplanted line for line — same pivot scan, same elimination and back
 /// substitution arithmetic, same pivot-cache verification, same
 /// spice.mna.* observability counters, same error surface — so the compiled
-/// Newton kernels that call it stay byte-identical to the reference path
+/// DC Newton stage that calls it stays byte-identical to the reference path
 /// while skipping the per-stamp virtual dispatch and Mna bookkeeping. The
 /// trailing ground-scratch slots (index n² resp. n) are never read.
 ///
@@ -234,8 +208,7 @@ bool newton_stage(const Stamper& st, SolveWorkspace& ws, Mna& mna,
     if constexpr (Stamper::kFusedSolve) {
       std::fill(ws.fa.begin(), ws.fa.end(), 0.0);
       std::fill(ws.fb.begin(), ws.fb.end(), 0.0);
-      ctx.x = &x;
-      st.stamp_fused(ws.fa.data(), ws.fb.data(), ctx);
+      st.stamp_fused(ws.fa.data(), ws.fb.data(), x);
       if (gmin > 0.0) {
         // Same accumulation order as the Mna branch: every diagonal shunt
         // first (Mna::add_gmin), then the rhs anchor loop.
@@ -367,64 +340,26 @@ std::vector<double> solve_dc_impl(const Stamper& st, SolveWorkspace& ws,
 // Transient
 // ---------------------------------------------------------------------------
 
-/// Newton solve of one implicit step; returns true on convergence and leaves
-/// the converged iterate in \p x.
-template <class Stamper>
-bool newton_step(const Stamper& st, SolveWorkspace& ws, Mna& mna,
-                 StampContext& ctx, std::vector<double>& x,
-                 const TransientOptions& opt) {
-  [[maybe_unused]] const std::size_t n = st.unknown_count();
-  if constexpr (Stamper::kFusedSolve) ws.fused_for(n);
-  for (int iter = 0; iter < opt.max_newton; ++iter) {
-    FINSER_OBS_COUNT("spice.tran.newton_iters", 1);
-    if constexpr (Stamper::kFusedSolve) {
-      std::fill(ws.fa.begin(), ws.fa.end(), 0.0);
-      std::fill(ws.fb.begin(), ws.fb.end(), 0.0);
-      ctx.x = &x;
-      st.stamp_fused(ws.fa.data(), ws.fb.data(), ctx);
-      try {
-        fused_lu_solve(ws, n, ws.x_new);
-      } catch (const util::NumericalError&) {
-        return false;  // Singular at this iterate: convergence failure.
-      }
-    } else {
-      mna.clear();
-      ctx.x = &x;
-      st.stamp_all(mna, ctx);
-
-      try {
-        mna.solve_with_cache(ws.pivot, ws.x_new);
-      } catch (const util::NumericalError&) {
-        return false;  // Singular at this iterate: treat as convergence
-                       // failure.
-      }
-    }
-    const std::vector<double>& x_new = ws.x_new;
-
-    double max_dv = 0.0;
-    for (std::size_t i = 0; i < st.node_count(); ++i) {
-      max_dv = std::max(max_dv, std::abs(x_new[i] - x[i]));
-    }
-    const double alpha = max_dv > opt.damping_vmax ? opt.damping_vmax / max_dv : 1.0;
-
-    double max_delta = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const double step = alpha * (x_new[i] - x[i]);
-      x[i] += step;
-      max_delta = std::max(max_delta, std::abs(step));
-    }
-    if (alpha == 1.0 && max_delta < opt.v_tol) return true;
-  }
-  return false;
-}
-
-/// Option checks shared by the scalar and lane-batched transient engines.
+/// Option checks shared by the reference and lane-batched transient engines.
+/// Both engines must be able to honor every option set that passes: at
+/// least one Newton iteration per attempt (with none, the reference engine
+/// could never accept a step), and a shrink factor strictly inside (0, 1),
+/// without which a failing step never underflows dt_min and the escalation
+/// ladder never ends.
 inline void check_transient_options(const TransientOptions& opt,
                                     const std::vector<std::string>& probes) {
   FINSER_REQUIRE(opt.t_end > 0.0, "run_transient: t_end must be positive");
   FINSER_REQUIRE(opt.dt_initial > 0.0 && opt.dt_min > 0.0 &&
                      opt.dt_max >= opt.dt_initial,
                  "run_transient: inconsistent step-size options");
+  FINSER_REQUIRE(opt.max_newton >= 1,
+                 "run_transient: max_newton must be at least 1");
+  FINSER_REQUIRE(opt.shrink_factor > 0.0 && opt.shrink_factor < 1.0,
+                 "run_transient: shrink_factor must lie in (0, 1)");
+  FINSER_REQUIRE(opt.grow_factor >= 1.0,
+                 "run_transient: grow_factor must be at least 1");
+  FINSER_REQUIRE(opt.max_restarts >= 0,
+                 "run_transient: max_restarts must be non-negative");
   FINSER_REQUIRE(opt.latch_rail_v >= 0.0,
                  "run_transient: latch_rail_v must be non-negative");
   FINSER_REQUIRE(opt.latch_rail_v == 0.0 ||
@@ -459,141 +394,14 @@ bool latch_exit(const TransientOptions& opt, const std::vector<double>& breaks,
   return true;
 }
 
-template <class Stamper>
-Waveform run_transient_impl(const Stamper& st, SolveWorkspace& ws,
-                            const std::vector<double>& x0,
-                            const TransientOptions& opt,
-                            const std::vector<std::string>& probe_nodes) {
-  check_transient_options(opt, probe_nodes);
-  FINSER_REQUIRE(x0.size() == st.unknown_count(),
-                 "run_transient: x0 size mismatch");
-
-  obs::ScopedSpan run_span("spice.tran.run");
-  FINSER_OBS_COUNT("spice.tran.runs", 1);
-
-  // Resolve probes.
-  std::vector<std::string> names;
-  std::vector<std::size_t> nodes;
-  if (probe_nodes.empty()) {
-    for (std::size_t i = 0; i < st.node_count(); ++i) {
-      names.push_back(st.node_name(i));
-      nodes.push_back(i);
-    }
-  } else {
-    for (const std::string& p : probe_nodes) {
-      names.push_back(p);
-      nodes.push_back(st.find_node(p));
-    }
-  }
-  // The latch rule reads the probe nodes after construction: copy, not move.
-  Waveform wave(std::move(names), nodes);
-
-  // Collect and sort hard breakpoints.
-  std::vector<double>& breaks = ws.breaks;
-  breaks.clear();
-  st.add_breakpoints(opt.t_end, breaks);
-  breaks.push_back(opt.t_end);
-  std::sort(breaks.begin(), breaks.end());
-  breaks.erase(std::unique(breaks.begin(), breaks.end(),
-                           [](double a, double b) { return std::abs(a - b) < 1e-24; }),
-               breaks.end());
-
-  // Initialize device state from the operating point.
-  st.initialize_state(x0);
-
-  std::vector<double> x = x0;
-  Mna& mna = ws.mna_for(st.unknown_count());
-  StampContext ctx;
-  ctx.transient = true;
-  ctx.method = opt.method;
-  ctx.branch_offset = st.node_count();
-
-  wave.append(0.0, x);
-
-  double t = 0.0;
-  double dt = opt.dt_initial;
-  std::size_t next_break = 0;
-
-  // Retry ladder (see TransientOptions::max_restarts): the effective Newton
-  // settings escalate deterministically each time the step size underflows,
-  // instead of aborting on the first hard spot.
-  TransientOptions eff = opt;
-  int restart_level = 0;
-  std::uint64_t accepted_steps = 0;
-
-  while (t < opt.t_end - 1e-24) {
-    if (latch_exit(opt, breaks, nodes, t,
-                   [&x](std::size_t i) { return x[i]; })) {
-      break;
-    }
-    // Clamp the step to land exactly on the next breakpoint.
-    while (next_break < breaks.size() && breaks[next_break] <= t + 1e-24) {
-      ++next_break;
-    }
-
-    bool hit_break = false;
-    double step = dt;
-    if (next_break < breaks.size() && t + step >= breaks[next_break] - 1e-24) {
-      step = breaks[next_break] - t;
-      hit_break = true;
-    }
-
-    ctx.time = t + step;
-    ctx.dt = step;
-    ws.x_try = x;  // Start Newton from the previous solution.
-    if (newton_step(st, ws, mna, ctx, ws.x_try, eff)) {
-      // Accept.
-      FINSER_OBS_COUNT("spice.tran.steps", 1);
-      ++accepted_steps;
-      std::swap(x, ws.x_try);
-      ctx.x = &x;
-      st.commit(ctx);
-      t = ctx.time;
-      wave.append(t, x);
-      if (hit_break) {
-        dt = opt.dt_initial;  // Restart small after a source edge.
-        ++next_break;
-      } else {
-        dt = std::min(dt * opt.grow_factor, opt.dt_max);
-      }
-    } else {
-      // Reject: shrink and retry from the committed state.
-      FINSER_OBS_COUNT("spice.tran.rejects", 1);
-      dt *= opt.shrink_factor;
-      if (dt < opt.dt_min) {
-        if (restart_level < opt.max_restarts) {
-          // Escalate: more Newton iterations, stronger damping, and a fresh
-          // (smaller) starting step for the same failing instant. The state
-          // is the last *committed* step, so nothing is replayed.
-          ++restart_level;
-          FINSER_OBS_COUNT("spice.tran.escalations", 1);
-          eff.max_newton *= 2;
-          eff.damping_vmax *= 0.5;
-          dt = std::max(opt.dt_min,
-                        opt.dt_initial * std::pow(0.1, restart_level));
-        } else {
-          FINSER_OBS_COUNT("spice.tran.failures", 1);
-          throw util::NumericalError(
-              "run_transient: Newton failed to converge at t = " +
-              std::to_string(t) + " after " + std::to_string(restart_level) +
-              " escalation(s) (max_newton " + std::to_string(eff.max_newton) +
-              ", damping_vmax " + std::to_string(eff.damping_vmax) + ")");
-        }
-      }
-    }
-  }
-  FINSER_OBS_RECORD("spice.tran.steps_per_run", accepted_steps);
-  return wave;
-}
-
 // ---------------------------------------------------------------------------
-// Lane-batched transient (compiled path; see batch.hpp)
+// Lane-batched transient (the compiled engine; see batch.hpp)
 // ---------------------------------------------------------------------------
 
 /// Per-lane LU failure classification of one batched solve. Each value maps
-/// to the util::NumericalError the scalar fused_lu_solve_sized() would have
-/// thrown for that lane; the batched Newton turns any of them into a
-/// per-lane convergence failure exactly like the scalar catch does.
+/// to the util::NumericalError Mna::factor_and_solve would have thrown for
+/// that lane; the batched Newton turns any of them into a per-lane
+/// convergence failure exactly like the reference Newton's catch does.
 enum class LaneLu : std::uint8_t {
   kOk = 0,
   kNonFiniteRhs,
@@ -793,12 +601,12 @@ inline void batch_lu_solve(BatchWorkspace& bw, std::size_t n,
   }
 }
 
-/// Lane-batched mirror of run_transient_impl(): W independent transients
-/// advance through one vectorized Newton tick at a time. All per-lane step
-/// control (breakpoint clamping, accept/reject, the escalation ladder, the
-/// latch exit) is the scalar loop's code ported statement for statement and
-/// run per lane; only the per-iteration stamp+solve+update is
-/// batched. Lanes that are done, failed or inactive stay in the vector as
+/// The compiled transient engine: W independent transients advance through
+/// one vectorized Newton tick at a time (W = 1 is a group of one). All
+/// per-lane step control (breakpoint clamping, accept/reject, the escalation
+/// ladder, the latch exit) mirrors the reference loop of transient.cpp
+/// statement for statement and runs per lane; only the per-iteration
+/// stamp+solve+update is batched. Lanes that are done, failed or inactive stay in the vector as
 /// masked compute-and-discard riders until the group drains — freezing, not
 /// branching, is what keeps the hot loop uniform.
 template <std::size_t W>
@@ -814,7 +622,7 @@ BatchTransientResult run_transient_batch_impl(
 
   obs::ScopedSpan run_span("spice.tran.run_batch");
 
-  // Resolve probes once (identical resolution to the scalar engine).
+  // Resolve probes once (identical resolution to the reference engine).
   std::vector<std::string> names;
   std::vector<std::size_t> nodes;
   if (probe_nodes.empty()) {
@@ -904,8 +712,7 @@ BatchTransientResult run_transient_batch_impl(
     }
   }
 
-  // Scalar accept-path bookkeeping for lane w (run_transient_impl's accept
-  // branch, minus the shared counter handled by the caller).
+  // Accept-path bookkeeping for lane w (the reference loop's accept branch).
   const auto accept = [&](std::size_t w) {
     FINSER_OBS_COUNT("spice.tran.steps", 1);
     ++accepted[w];
@@ -925,8 +732,8 @@ BatchTransientResult run_transient_batch_impl(
     phase[w] = Phase::kStepping;
   };
 
-  // Scalar reject path for lane w; a drained escalation ladder marks the
-  // lane failed with the text the scalar engine would have thrown.
+  // Reject path for lane w; a drained escalation ladder marks the lane
+  // failed with the text the reference engine throws.
   const auto reject = [&](std::size_t w) {
     FINSER_OBS_COUNT("spice.tran.rejects", 1);
     dt[w] *= opt.shrink_factor;
@@ -1012,7 +819,7 @@ BatchTransientResult run_transient_batch_impl(
 
     // Damping and convergence, lane-vectorized: the max reductions and the
     // damped iterate update run for every lane (i outer, w inner, identical
-    // per-lane operation order as the scalar loop), with a masked store so
+    // per-lane operation order as the reference loop), with a masked store so
     // lanes that are not mid-Newton (or whose solve failed) keep their
     // iterate untouched — their max_dv/alpha/max_delta values are computed
     // from garbage and discarded below, never stored.
@@ -1051,8 +858,8 @@ BatchTransientResult run_transient_batch_impl(
       for (std::size_t w = 0; w < W; ++w) {
         if (phase[w] != Phase::kNewton) continue;
         if (lu_status[w] != LaneLu::kOk) {
-          // Scalar newton_step catches the LU throw and reports convergence
-          // failure without touching the iterate.
+          // The reference Newton catches the LU throw and reports
+          // convergence failure without touching the iterate.
           reject(w);
           continue;
         }

@@ -2,12 +2,13 @@
 /// \file stamp_kernels.hpp
 /// \brief Shared per-device stamp arithmetic (internal to finser::spice).
 ///
-/// Both stamping paths — the polymorphic reference one (devices.cpp,
-/// Device::stamp) and the devirtualized compiled one (compiled.cpp,
-/// CompiledCircuit::stamp_all) — call these kernels, so the two produce
-/// byte-identical MNA systems *by construction*: same expressions, same
-/// evaluation order, same sequence of Mna::add calls. Any change to a
-/// device's companion model belongs here, never in only one caller.
+/// The polymorphic reference path (devices.cpp, Device::stamp) calls these
+/// kernels; the compiled path's fused stamps (compiled.cpp stamp_fused for
+/// DC, compiled_batch.cpp batch_stamp_fused per lane for transients) mirror
+/// them term for term, so both produce byte-identical MNA systems: same
+/// expressions, same evaluation order, same accumulation sequence. Any
+/// change to a device's companion model belongs here *and* in both fused
+/// mirrors — tests/test_spice_compiled.cpp pins the three together.
 
 #include <cstddef>
 

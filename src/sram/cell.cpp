@@ -100,7 +100,10 @@ StrikeSimulator::StrikeSimulator(const CellDesign& design, double vdd_v,
 
   // The netlist is final: lower it once. Every simulate() from here on is a
   // rebind, never a rebuild.
-  if (engine_ == SpiceEngine::kCompiled) compiled_.emplace(circuit_);
+  if (engine_ == SpiceEngine::kCompiled) {
+    compiled_.emplace(circuit_);
+    compiled_->batch_configure(one_lane_, 1);
+  }
 }
 
 void StrikeSimulator::set_pulse_width_scale(double scale) {
@@ -114,15 +117,19 @@ void StrikeSimulator::apply_delta_vt(const DeltaVt& delta_vt) {
   }
 }
 
-std::vector<double> StrikeSimulator::solve_hold(const DeltaVt& delta_vt) {
-  apply_delta_vt(delta_vt);
+std::vector<double> StrikeSimulator::hold_guess() const {
   std::vector<double> guess(circuit_.unknown_count(), 0.0);
   guess[n_q_] = vdd_v_;
   guess[n_qb_] = 0.0;
   guess[n_vdd_] = vdd_v_;
   guess[n_bl_] = vdd_v_;
   guess[n_blb_] = vdd_v_;
-  return spice::solve_dc(circuit_, guess);
+  return guess;
+}
+
+std::vector<double> StrikeSimulator::solve_hold(const DeltaVt& delta_vt) {
+  apply_delta_vt(delta_vt);
+  return spice::solve_dc(circuit_, hold_guess());
 }
 
 const std::vector<double>& StrikeSimulator::hold_cached(const DeltaVt& delta_vt) {
@@ -136,13 +143,7 @@ const std::vector<double>& StrikeSimulator::hold_cached(const DeltaVt& delta_vt)
     FINSER_OBS_COUNT("sram.strike.dc_reuse", 1);
     return hold_x_;
   }
-  std::vector<double> guess(circuit_.unknown_count(), 0.0);
-  guess[n_q_] = vdd_v_;
-  guess[n_qb_] = 0.0;
-  guess[n_vdd_] = vdd_v_;
-  guess[n_bl_] = vdd_v_;
-  guess[n_blb_] = vdd_v_;
-  hold_x_ = spice::solve_dc(*compiled_, ws_, guess);
+  hold_x_ = spice::solve_dc(*compiled_, ws_, hold_guess());
   hold_dvt_ = delta_vt;
   hold_valid_ = true;
   return hold_x_;
@@ -196,13 +197,16 @@ StrikeOutcome StrikeSimulator::simulate(const StrikeCharges& charges,
 
   // Compiled hot path: mutate the source devices exactly as the reference
   // engine would, then rebind the plan once. The strike shapes are open in
-  // DC, so setting them before the hold solve changes nothing there.
+  // DC, so setting them before the hold solve changes nothing there. The
+  // transient is a lane group of one on simulate()'s own workspace.
   apply_delta_vt(delta_vt);
   set_strike_shapes(charges, kind);
   compiled_->rebind();
-  const auto& x0 = hold_cached(delta_vt);
-  return outcome_of(
-      spice::run_transient(*compiled_, ws_, x0, topt_, {"q", "qb"}));
+  compiled_->batch_rebind_lane(one_lane_, 0);
+  const spice::BatchTransientResult res = spice::run_transient_batch(
+      *compiled_, one_lane_, {hold_cached(delta_vt)}, topt_, {"q", "qb"});
+  if (res.failed[0]) throw util::NumericalError(res.errors[0]);
+  return outcome_of(res.waves[0]);
 }
 
 StrikeOutcome StrikeSimulator::outcome_of(const spice::Waveform& wave) const {
@@ -225,9 +229,7 @@ void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
                  "simulate_batch: input size mismatch");
   if (out.size() < count) out.resize(count);
 
-  const std::size_t width = spice::lane_width();
-  if (engine_ == SpiceEngine::kReference || width == 1) {
-    // Scalar reference loop: same per-sample arithmetic by definition.
+  if (engine_ == SpiceEngine::kReference) {
     for (std::size_t k = 0; k < count; ++k) {
       if (!active[k]) continue;
       out[k] = LaneOutcome{};
@@ -241,6 +243,7 @@ void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
     return;
   }
 
+  const std::size_t width = spice::lane_width();
   if (bw_.lanes != width) {
     compiled_->batch_configure(bw_, width);
     hold_lane_valid_.fill(false);
@@ -263,7 +266,7 @@ void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
             "(FINSER_FAULT newton_diverge)";
         continue;
       }
-      // Bind lane g: same setter+rebind sequence as the scalar path, then
+      // Bind lane g: same setter+rebind sequence as simulate(), then
       // captured into the lane's AoSoA slices.
       apply_delta_vt(dvts[k]);
       set_strike_shapes(charges[k], kind);
@@ -279,14 +282,8 @@ void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
         any = true;
         continue;
       }
-      std::vector<double> guess(circuit_.unknown_count(), 0.0);
-      guess[n_q_] = vdd_v_;
-      guess[n_qb_] = 0.0;
-      guess[n_vdd_] = vdd_v_;
-      guess[n_bl_] = vdd_v_;
-      guess[n_blb_] = vdd_v_;
       try {
-        hold_lane_x_[g] = spice::solve_dc(*compiled_, ws_, guess);
+        hold_lane_x_[g] = spice::solve_dc(*compiled_, ws_, hold_guess());
         hold_lane_dvt_[g] = dvts[k];
         hold_lane_valid_[g] = true;
         x0s[g] = hold_lane_x_[g];

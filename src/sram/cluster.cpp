@@ -156,6 +156,7 @@ ClusterSimulator::ClusterSimulator(const CellDesign& design, double vdd_v,
 
   // The netlist is final: lower it once. Every simulate() is a rebind.
   compiled_.emplace(circuit_);
+  compiled_->batch_configure(one_lane_, 1);
 }
 
 void ClusterSimulator::bind(const std::vector<CellStrike>& strikes,
@@ -223,8 +224,12 @@ ClusterSimulator::Outcome ClusterSimulator::simulate(
     const std::vector<CellStrike>& strikes, const std::vector<DeltaVt>& dvts,
     PulseShape::Kind kind) {
   bind(strikes, dvts, kind);
-  const auto x0 = spice::solve_dc(*compiled_, ws_, hold_guess());
-  return finish_wave(spice::run_transient(*compiled_, ws_, x0, topt_, probes_));
+  compiled_->batch_rebind_lane(one_lane_, 0);
+  const spice::BatchTransientResult res = spice::run_transient_batch(
+      *compiled_, one_lane_, {spice::solve_dc(*compiled_, ws_, hold_guess())},
+      topt_, probes_);
+  if (res.failed[0]) throw util::NumericalError(res.errors[0]);
+  return finish_wave(res.waves[0]);
 }
 
 void ClusterSimulator::simulate_batch(
@@ -235,18 +240,6 @@ void ClusterSimulator::simulate_batch(
   out.assign(count, Outcome{});
 
   const std::size_t width = spice::lane_width();
-  if (width == 1) {
-    for (std::size_t k = 0; k < count; ++k) {
-      try {
-        out[k] = simulate(strikes, dvt_samples[k], kind);
-      } catch (const util::NumericalError& e) {
-        out[k].failed = true;
-        out[k].error = e.what();
-      }
-    }
-    return;
-  }
-
   if (bw_.lanes != width) compiled_->batch_configure(bw_, width);
 
   std::vector<std::vector<double>> x0s;
@@ -256,7 +249,7 @@ void ClusterSimulator::simulate_batch(
     bool any = false;
     for (std::size_t g = 0; g < group; ++g) {
       const std::size_t k = offset + g;
-      // Bind lane g: same setter+rebind sequence as the scalar path, then
+      // Bind lane g: same setter+rebind sequence as simulate(), then
       // captured into the lane's AoSoA slices. The DC hold solve stays
       // scalar (one per sample; the joint transient dominates the cost).
       bind(strikes, dvt_samples[k], kind);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -122,17 +123,31 @@ std::vector<double> random_iterate(stats::Rng& rng, std::size_t n) {
   return x;
 }
 
-void expect_same_system(const Mna& a, const Mna& b, std::size_t n,
-                        const char* where) {
+/// Entry-for-entry comparison of lane \p w of a dense fused system (\p fa /
+/// \p fb in the AoSoA layout of \p lanes lanes; lanes = 1 is the plain
+/// row-major layout of stamp_fused) against a reference Mna.
+void expect_same_dense(const Mna& ref, const std::vector<double>& fa,
+                       const std::vector<double>& fb, std::size_t n,
+                       std::size_t lanes, std::size_t w,
+                       const std::string& where) {
   for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(a.rhs_at(i), b.rhs_at(i)) << where << ": rhs row " << i;
+    ASSERT_EQ(fb[i * lanes + w], ref.rhs_at(i)) << where << ": rhs row " << i;
     for (std::size_t j = 0; j < n; ++j) {
-      ASSERT_EQ(a.matrix_at(i, j), b.matrix_at(i, j))
+      ASSERT_EQ(fa[(i * n + j) * lanes + w], ref.matrix_at(i, j))
           << where << ": entry (" << i << ", " << j << ")";
     }
   }
 }
 
+/// Reference stamp of every device of \p c at \p ctx, into a cleared \p mna.
+void reference_stamp(const Circuit& c, Mna& mna, const StampContext& ctx) {
+  mna.clear();
+  for (const auto& dev : c.devices()) dev->stamp(mna, ctx);
+}
+
+// The compiled circuit's stamps — stamp_fused in DC, the one-lane transient
+// engine's hooks (state init, stamp, commit, breakpoints) in transient — must
+// reproduce the polymorphic devices' byte for byte on random soups.
 TEST(SpiceCompiled, RandomSoupStampsAreByteIdentical) {
   stats::Rng rng(20140604);
   for (int trial = 0; trial < 40; ++trial) {
@@ -141,104 +156,126 @@ TEST(SpiceCompiled, RandomSoupStampsAreByteIdentical) {
     ASSERT_EQ(cc.device_count(), c.devices().size());
     const std::size_t n = c.unknown_count();
     Mna ref(n);
-    Mna cmp(n);
+    BatchWorkspace bw;
+    cc.batch_configure(bw, 1);
 
     // DC stamp at a random iterate.
     StampContext ctx;
     ctx.branch_offset = c.node_count();
     const std::vector<double> x_dc = random_iterate(rng, n);
     ctx.x = &x_dc;
-    ref.clear();
-    cmp.clear();
-    for (const auto& dev : c.devices()) dev->stamp(ref, ctx);
-    cc.stamp_all(cmp, ctx);
-    expect_same_system(ref, cmp, n, "dc");
+    reference_stamp(c, ref, ctx);
+    std::vector<double> fa(n * n + 1, 0.0);
+    std::vector<double> fb(n + 1, 0.0);
+    cc.stamp_fused(fa.data(), fb.data(), x_dc);
+    expect_same_dense(ref, fa, fb, n, 1, 0, "dc");
 
-    // Transient stamp: fresh state from a random operating point, then two
+    // Transient stamp: fresh state from a random operating point, then three
     // accepted steps so the capacitor histories (kept separately by each
-    // path) must evolve in lockstep.
+    // path) must evolve in lockstep — the third stamp is the first to read a
+    // trapezoidal current history that was itself advanced from a nonzero one.
     const std::vector<double> x0 = random_iterate(rng, n);
     for (const auto& dev : c.devices()) dev->initialize_state(x0);
-    cc.initialize_state(x0);
+    cc.batch_initialize_state(bw, 0, x0);
     ctx.transient = true;
     ctx.method = rng.uniform() < 0.5 ? Integrator::kBackwardEuler
                                      : Integrator::kTrapezoidal;
     std::vector<double> x_step = x0;
     double t = 0.0;
-    for (int step = 0; step < 2; ++step) {
+    for (int step = 0; step < 3; ++step) {
       ctx.dt = rng.uniform(1e-15, 1e-12);
       t += ctx.dt;
       ctx.time = t;
       x_step = random_iterate(rng, n);
       ctx.x = &x_step;
-      ref.clear();
-      cmp.clear();
-      for (const auto& dev : c.devices()) dev->stamp(ref, ctx);
-      cc.stamp_all(cmp, ctx);
-      expect_same_system(ref, cmp, n, step == 0 ? "tran step 0" : "tran step 1");
+      reference_stamp(c, ref, ctx);
+      bw.x_try = x_step;
+      std::fill(bw.fa.begin(), bw.fa.end(), 0.0);
+      std::fill(bw.fb.begin(), bw.fb.end(), 0.0);
+      cc.batch_stamp_fused<1>(bw, &ctx.time, &ctx.dt, ctx.method);
+      expect_same_dense(ref, bw.fa, bw.fb, n, 1, 0,
+                        "tran step " + std::to_string(step));
       for (const auto& dev : c.devices()) dev->commit(ctx);
-      cc.commit(ctx);
+      bw.x = x_step;
+      cc.batch_commit(bw, 0, ctx.time, ctx.dt, ctx.method);
     }
 
     // Breakpoints (order-insensitive by contract: the engine sorts them).
     std::vector<double> b_ref;
     std::vector<double> b_cmp;
     for (const auto& dev : c.devices()) dev->add_breakpoints(1e-11, b_ref);
-    cc.add_breakpoints(1e-11, b_cmp);
+    cc.batch_add_breakpoints(bw, 0, 1e-11, b_cmp);
     std::sort(b_ref.begin(), b_ref.end());
     std::sort(b_cmp.begin(), b_cmp.end());
     ASSERT_EQ(b_ref, b_cmp);
   }
 }
 
-// The fused stamp path (raw flat arrays + precomputed slot indices, used by
-// the compiled Newton kernel) must produce the same dense system as the
-// Mna-based stamp, entry for entry, with every ground contribution absorbed
-// by the trailing scratch slots.
+// The fused stamps (raw flat arrays + precomputed slot indices) must produce
+// the same dense system as the reference Mna stamp, entry for entry, with
+// every ground contribution absorbed by the trailing scratch slots: in DC
+// (stamp_fused, the compiled Newton stage) and per lane of a full-width
+// transient group (batch_stamp_fused), each lane at its own iterate.
 TEST(SpiceCompiled, FusedStampMatchesMnaOnSoups) {
+  constexpr std::size_t W = kMaxLaneWidth;
   stats::Rng rng(19830426);
   for (int trial = 0; trial < 40; ++trial) {
     const Circuit c = make_soup(rng);
     CompiledCircuit cc(c);
     const std::size_t n = c.unknown_count();
     Mna ref(n);
-    SolveWorkspace ws;
-    ws.fused_for(n);
 
     StampContext ctx;
     ctx.branch_offset = c.node_count();
-    std::vector<double> x = random_iterate(rng, n);
-    ctx.x = &x;
+    const std::vector<double> x_dc = random_iterate(rng, n);
+    ctx.x = &x_dc;
+    reference_stamp(c, ref, ctx);
+    std::vector<double> fa(n * n + 1, 0.0);
+    std::vector<double> fb(n + 1, 0.0);
+    cc.stamp_fused(fa.data(), fb.data(), x_dc);
+    expect_same_dense(ref, fa, fb, n, 1, 0, "dc");
 
-    const auto check = [&](const char* where) {
-      ref.clear();
-      cc.stamp_all(ref, ctx);
-      std::fill(ws.fa.begin(), ws.fa.end(), 0.0);
-      std::fill(ws.fb.begin(), ws.fb.end(), 0.0);
-      cc.stamp_fused(ws.fa.data(), ws.fb.data(), ctx);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(ws.fb[i], ref.rhs_at(i)) << where << ": rhs row " << i;
-        for (std::size_t j = 0; j < n; ++j) {
-          ASSERT_EQ(ws.fa[i * n + j], ref.matrix_at(i, j))
-              << where << ": entry (" << i << ", " << j << ")";
-        }
-      }
-    };
-
-    check("dc");
-
-    cc.initialize_state(x);
+    BatchWorkspace bw;
+    cc.batch_configure(bw, W);
+    const std::vector<double> x0 = random_iterate(rng, n);
+    for (const auto& dev : c.devices()) dev->initialize_state(x0);
+    for (std::size_t w = 0; w < W; ++w) cc.batch_initialize_state(bw, w, x0);
     ctx.transient = true;
     ctx.method = rng.uniform() < 0.5 ? Integrator::kBackwardEuler
                                      : Integrator::kTrapezoidal;
     double t = 0.0;
-    for (int step = 0; step < 2; ++step) {
+    for (int step = 0; step < 3; ++step) {
       ctx.dt = rng.uniform(1e-15, 1e-12);
       t += ctx.dt;
       ctx.time = t;
-      x = random_iterate(rng, n);
-      check(step == 0 ? "tran step 0" : "tran step 1");
-      cc.commit(ctx);
+      std::vector<std::vector<double>> lane_x(W);
+      for (std::size_t w = 0; w < W; ++w) {
+        lane_x[w] = random_iterate(rng, n);
+        for (std::size_t i = 0; i < n; ++i) bw.x_try[i * W + w] = lane_x[w][i];
+      }
+      std::array<double, W> times;
+      std::array<double, W> dts;
+      times.fill(ctx.time);
+      dts.fill(ctx.dt);
+      std::fill(bw.fa.begin(), bw.fa.end(), 0.0);
+      std::fill(bw.fb.begin(), bw.fb.end(), 0.0);
+      cc.batch_stamp_fused<W>(bw, times.data(), dts.data(), ctx.method);
+      for (std::size_t w = 0; w < W; ++w) {
+        ctx.x = &lane_x[w];
+        reference_stamp(c, ref, ctx);
+        expect_same_dense(ref, bw.fa, bw.fb, n, W, w,
+                          "tran step " + std::to_string(step) + " lane " +
+                              std::to_string(w));
+      }
+      // Commit one accepted iterate on the devices and on every lane, so the
+      // lanes keep sharing the reference history.
+      const std::vector<double> x_acc = random_iterate(rng, n);
+      ctx.x = &x_acc;
+      for (const auto& dev : c.devices()) dev->commit(ctx);
+      for (std::size_t w = 0; w < W; ++w) {
+        for (std::size_t i = 0; i < n; ++i) bw.x[i * W + w] = x_acc[i];
+        cc.batch_commit(bw, w, ctx.time, ctx.dt, ctx.method);
+      }
     }
   }
 }
@@ -331,7 +368,9 @@ TEST(SpiceCompiled, SolutionsMatchAcrossRebindsAndWarmWorkspace) {
   for (int trial = 0; trial < 5; ++trial) {
     SolvableCircuit s = make_solvable(rng);
     CompiledCircuit cc(s.c);
-    SolveWorkspace ws;  // Deliberately reused across every solve below.
+    SolveWorkspace ws;  // Deliberately reused across every solve below,
+    BatchWorkspace bw;  // and so is the one-lane transient workspace.
+    cc.batch_configure(bw, 1);
 
     TransientOptions topt;
     topt.t_end = 20e-12;
@@ -343,20 +382,23 @@ TEST(SpiceCompiled, SolutionsMatchAcrossRebindsAndWarmWorkspace) {
       s.pulse->set_shape(PulseShape::triangular_for_charge(
           rng.uniform(0.01e-15, 0.3e-15), rng.uniform(5e-15, 5e-14), 1e-12));
       cc.rebind();
+      cc.batch_rebind_lane(bw, 0);
 
       const std::vector<double> x_ref = solve_dc(s.c);
       const std::vector<double> x_cmp = solve_dc(cc, ws);
       expect_same_vector(x_ref, x_cmp, "dc");
 
       const Waveform w_ref = run_transient(s.c, x_ref, topt, {"out", "out2"});
-      const Waveform w_cmp = run_transient(cc, ws, x_cmp, topt, {"out", "out2"});
-      expect_same_waveform(w_ref, w_cmp, "transient");
+      const BatchTransientResult w_cmp =
+          run_transient_batch(cc, bw, {x_cmp}, topt, {"out", "out2"});
+      ASSERT_FALSE(w_cmp.failed[0]) << w_cmp.errors[0];
+      expect_same_waveform(w_ref, w_cmp.waves[0], "transient");
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched engine: byte-equality against the scalar compiled path
+// Lane-batched engine: byte-equality against the reference path
 // ---------------------------------------------------------------------------
 
 /// Restores the auto lane-width resolution no matter how a test exits.
@@ -424,8 +466,8 @@ void bind_params(SolvableCircuit& s, CompiledCircuit& cc, const LaneParams& p) {
   cc.rebind();
 }
 
-// The batched transient must reproduce the scalar compiled engine byte for
-// byte, per lane, for every compiled width — including lanes carrying
+// The batched transient must reproduce the reference engine byte for byte,
+// per lane, for every compiled width — including lanes carrying
 // different supply voltages, ΔVt and pulse shapes, and ragged tails where
 // only some lanes are occupied.
 TEST(SpiceBatch, BatchTransientMatchesScalarPerLane) {
@@ -436,20 +478,19 @@ TEST(SpiceBatch, BatchTransientMatchesScalarPerLane) {
   for (int trial = 0; trial < 3; ++trial) {
     SolvableCircuit s = make_solvable(rng);
     CompiledCircuit cc(s.c);
-    SolveWorkspace ws;
 
     // Eight parameter sets; each width consumes a prefix, so the same lane
     // is checked under every width.
     std::vector<LaneParams> params;
     for (int k = 0; k < 8; ++k) params.push_back(random_params(rng));
 
-    // Scalar references.
+    // Reference-engine runs.
     std::vector<std::vector<double>> x0(params.size());
     std::vector<Waveform> ref;
     for (std::size_t k = 0; k < params.size(); ++k) {
       bind_params(s, cc, params[k]);
-      x0[k] = solve_dc(cc, ws);
-      ref.push_back(run_transient(cc, ws, x0[k], topt, {"out", "out2"}));
+      x0[k] = solve_dc(s.c);
+      ref.push_back(run_transient(s.c, x0[k], topt, {"out", "out2"}));
     }
 
     for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
@@ -564,8 +605,8 @@ struct LaneWidthGuard {
   LaneWidthGuard& operator=(const LaneWidthGuard&) = delete;
 };
 
-// simulate_batch must reproduce scalar simulate() byte for byte at every
-// lane width, for group sizes that exercise full groups, internal splitting
+// simulate_batch must reproduce the reference engine's simulate() byte for
+// byte at every lane width, for group sizes that exercise full groups, internal splitting
 // (count > width) and ragged tails — and the per-sample results must not
 // depend on the width or on where the batch boundaries fall.
 TEST(SpiceBatch, StrikeOutcomesMatchScalarAcrossWidths) {
@@ -590,8 +631,9 @@ TEST(SpiceBatch, StrikeOutcomesMatchScalarAcrossWidths) {
   const std::vector<std::uint8_t> all(kCount, 1);
 
   for (double vdd : {0.7, 1.0}) {
-    // Scalar references from a fresh simulator.
-    StrikeSimulator ref_sim(design, vdd);
+    // References from a reference-engine simulator.
+    StrikeSimulator ref_sim(design, vdd, AccessMode::kRetention,
+                            SpiceEngine::kReference);
     std::vector<StrikeOutcome> ref;
     for (std::size_t k = 0; k < kCount; ++k) {
       ref.push_back(ref_sim.simulate(charges[k], dvts[k],
@@ -645,8 +687,10 @@ TEST(SpiceBatch, MaskedLanesAreUntouched) {
                      active, out);
   EXPECT_EQ(out[1].error, "sentinel");
   EXPECT_EQ(out[3].error, "sentinel");
-  const StrikeOutcome want = StrikeSimulator(design, 0.8).simulate(
-      charges[0], dvts[0], spice::PulseShape::Kind::kRectangular);
+  const StrikeOutcome want =
+      StrikeSimulator(design, 0.8, AccessMode::kRetention,
+                      SpiceEngine::kReference)
+          .simulate(charges[0], dvts[0], spice::PulseShape::Kind::kRectangular);
   for (std::size_t k : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
     ASSERT_FALSE(out[k].failed) << out[k].error;
     EXPECT_EQ(out[k].outcome.final_q_v, want.final_q_v) << "lane " << k;
@@ -655,8 +699,8 @@ TEST(SpiceBatch, MaskedLanesAreUntouched) {
 }
 
 // The full characterization table — CDFs, nominal boundaries, grid MC — must
-// be byte-identical for every lane width and thread count (the scalar width
-// on one thread is the reference), and so must the transient work behind
+// be byte-identical for every lane width and thread count (width 1 on one
+// thread is the reference), and so must the transient work behind
 // it: the accepted steps and the runs ended by the latch exit.
 TEST(SpiceBatch, CharacterizeAtAgreesAcrossLaneWidths) {
   CharacterizerConfig cfg;
@@ -783,13 +827,12 @@ TEST(SpiceCompiled, CharacterizerResumesThroughCompiledPath) {
                                   .string()));
 }
 
-// Same contract with the lane-batched engine forced on: a cancelled batched
-// run reruns to the byte-identical model — and that model equals a scalar
-// (width 1) uninterrupted run, so a rerun may even change lane width.
+// Same contract at lane width 4: a cancelled four-lane run reruns to the byte-identical model — and that model equals a width-1
+// uninterrupted run, so a rerun may even change lane width.
 TEST(SpiceBatch, CharacterizerResumesThroughBatchedPath) {
   std::vector<std::uint8_t> want;
   {
-    LaneWidthGuard scalar(1);
+    LaneWidthGuard one_lane(1);
     want = model_bytes(
         CellCharacterizer(CellDesign{}, resume_config()).characterize());
   }

@@ -21,6 +21,7 @@
 
 #include "finser/obs/obs.hpp"
 #include "finser/phys/collection.hpp"
+#include "finser/spice/batch.hpp"
 #include "finser/spice/compiled.hpp"
 #include "finser/spice/dc.hpp"
 #include "finser/spice/devices.hpp"
@@ -110,7 +111,12 @@ Outcome strike(Cell6T& cell, CompiledCircuit& cc, SolveWorkspace& ws,
   opt.dt_initial = 1e-15;
   opt.dt_max = 1e-12;
   opt.latch_rail_v = latch ? cell.vdd : 0.0;
-  const Waveform w = run_transient(cc, ws, x0, opt, {"q", "qb"});
+  // One lane of the compiled transient engine, as StrikeSimulator runs it.
+  BatchWorkspace bw;
+  cc.batch_configure(bw, 1);
+  const BatchTransientResult r = run_transient_batch(cc, bw, {x0}, opt, {"q", "qb"});
+  EXPECT_FALSE(r.failed[0]) << r.errors[0];
+  const Waveform& w = r.waves[0];
   Outcome out;
   out.flipped =
       w.final_value(0) < 0.5 * cell.vdd && w.final_value(1) > 0.5 * cell.vdd;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "finser/spice/batch.hpp"
+#include "finser/spice/compiled.hpp"
 #include "finser/spice/dc.hpp"
 #include "finser/spice/devices.hpp"
 #include "finser/spice/transient.hpp"
@@ -242,6 +244,30 @@ TEST(Transient, RejectsBadOptions) {
   opt.t_end = 1e-12;
   EXPECT_THROW(run_transient(c, std::vector<double>(1, 0.0), opt),
                util::InvalidArgument);
+
+  // Options neither engine can honor: no Newton iteration per attempt, a
+  // shrink factor under which a failing step never underflows dt_min (or
+  // dt turns non-positive), a "growth" that shrinks, a negative escalation
+  // ladder. The reference and the compiled (lane-batched) entry points
+  // reject them alike, before any step.
+  CompiledCircuit cc(c);
+  BatchWorkspace bw;
+  cc.batch_configure(bw, 1);
+  const std::vector<void (*)(TransientOptions&)> bad = {
+      [](TransientOptions& o) { o.max_newton = 0; },
+      [](TransientOptions& o) { o.shrink_factor = 1.0; },
+      [](TransientOptions& o) { o.shrink_factor = 0.0; },
+      [](TransientOptions& o) { o.grow_factor = 0.5; },
+      [](TransientOptions& o) { o.max_restarts = -1; },
+  };
+  for (std::size_t k = 0; k < bad.size(); ++k) {
+    TransientOptions o;
+    o.t_end = 1e-12;
+    bad[k](o);
+    EXPECT_THROW(run_transient(c, x0, o), util::InvalidArgument) << "case " << k;
+    EXPECT_THROW(run_transient_batch(cc, bw, {x0}, o), util::InvalidArgument)
+        << "case " << k;
+  }
 }
 
 TEST(Transient, WaveformCsvExport) {

@@ -113,9 +113,9 @@ void print_help() {
       "                 sets FINSER_CLUSTER so shard workers inherit it;\n"
       "                 docs/charge_sharing.md)\n"
       "  --lanes N      SPICE engine lane width: 0 = auto (FINSER_LANES, else\n"
-      "                 the widest compiled vector unit), 1 = scalar\n"
-      "                 reference, 4 or 8 = batched; never changes the\n"
-      "                 results (docs/spice.md)\n"
+      "                 the widest compiled vector unit), 1, 4 or 8 =\n"
+      "                 transients advanced together per group; never\n"
+      "                 changes the results (docs/spice.md)\n"
       "  --metrics-out PATH  enable metric collection and write a versioned\n"
       "                 JSON RunReport there at exit (docs/observability.md);\n"
       "                 FINSER_METRICS=<path> is an equivalent default\n"
