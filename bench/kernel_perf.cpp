@@ -240,12 +240,12 @@ void report_artifact_cache() {
                                         sram::DataPattern::kAllZeros};
   const char* names[] = {"checkerboard", "ones", "zeros"};
   for (int i = 0; i < 3; ++i) {
-    pipeline::ScenarioSpec sc;
-    sc.name = names[i];
-    sc.species = {"alpha", "proton"};
-    sc.flow = base;
+    // Initialised whole from `base`: default-constructing the spec and then
+    // assigning its flow trips GCC 12's -Wmaybe-uninitialized on the
+    // CellGeometry default it throws away.
+    pipeline::ScenarioSpec sc{names[i], {"alpha", "proton"}, base};
     sc.flow.pattern = patterns[i];
-    spec.scenarios.push_back(sc);
+    spec.scenarios.push_back(std::move(sc));
   }
 
   std::filesystem::remove_all(spec.artifact_dir);

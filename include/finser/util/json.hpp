@@ -21,10 +21,23 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace finser::util {
+
+/// Append \p v as a JSON number: `%.17g` (round-trips every finite double),
+/// plus ".0" when that reads as an integer, so parse(dump(x)) keeps the
+/// numeric kind. Throws util::Error on NaN/Inf, which JSON cannot represent.
+/// The one double writer: JsonValue::dump() and hand-written documents (the
+/// serve loop's replies) both go through it.
+void append_json_double(std::string& out, double v);
+
+/// Append \p s as a quoted JSON string: `"` and `\` escaped, control
+/// characters as \b \f \n \r \t or \u00XX, UTF-8 bytes unmodified. The
+/// one string writer, shared like append_json_double().
+void append_json_string(std::string& out, std::string_view s);
 
 /// One JSON value (tagged union). Copyable; cheap to move.
 class JsonValue {
@@ -103,6 +116,8 @@ class JsonValue {
   friend bool operator!=(const JsonValue& a, const JsonValue& b) { return !(a == b); }
 
  private:
+  class Parser;  // json.cpp; builds values in place
+
   explicit JsonValue(Kind kind) : kind_(kind) {}
 
   void write(std::string& out, int indent, int depth) const;

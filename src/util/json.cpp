@@ -1,7 +1,9 @@
 #include "finser/util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "finser/util/error.hpp"
@@ -15,9 +17,31 @@ namespace {
 /// Maximum nesting depth accepted by the parser (and writer, symmetric).
 constexpr int kMaxDepth = 64;
 
-void append_escaped(std::string& out, const std::string& s) {
+}  // namespace
+
+void append_json_double(std::string& out, double v) {
+  if (!std::isfinite(v)) fail("NaN/Inf is not representable in JSON");
+  // general with precision 17 is defined as printf's %.17g, which
+  // round-trips every finite double and is deterministic for a given value.
+  char buf[32];
+  const char* end =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17)
+          .ptr;
+  const std::string_view digits(buf, static_cast<std::size_t>(end - buf));
+  out += digits;
+  // Keep the value recognizably floating-point so parse(dump(x)) preserves
+  // the numeric kind of whole-valued doubles.
+  if (digits.find_first_of(".e") == std::string_view::npos) out += ".0";
+}
+
+void append_json_string(std::string& out, std::string_view s) {
   out += '"';
-  for (const char c : s) {
+  std::size_t copied = 0;  // s[0, copied) is already in out
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;  // UTF-8 passes through
+    out += s.substr(copied, i - copied);
+    copied = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -26,32 +50,16 @@ void append_escaped(std::string& out, const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;  // UTF-8 bytes pass through unmodified.
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out += s.substr(copied);
   out += '"';
 }
-
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) fail("NaN/Inf is not representable in JSON");
-  char buf[40];
-  // %.17g round-trips every finite double; normalize "1e+05"-style exponents
-  // is not needed — the format is already deterministic for a given value.
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-  // Keep the value recognizably floating-point so parse(dump(x)) preserves
-  // the numeric kind of whole-valued doubles.
-  if (std::strpbrk(buf, ".eEn") == nullptr) out += ".0";
-}
-
-}  // namespace
 
 bool JsonValue::as_bool() const {
   if (kind_ != Kind::kBool) fail("not a bool");
@@ -166,8 +174,8 @@ void JsonValue::write(std::string& out, int indent, int depth) const {
     case Kind::kBool: out += bool_ ? "true" : "false"; break;
     case Kind::kInt: out += std::to_string(int_); break;
     case Kind::kUint: out += std::to_string(uint_); break;
-    case Kind::kDouble: append_double(out, double_); break;
-    case Kind::kString: append_escaped(out, string_); break;
+    case Kind::kDouble: append_json_double(out, double_); break;
+    case Kind::kString: append_json_string(out, string_); break;
     case Kind::kArray: {
       out += '[';
       for (std::size_t i = 0; i < array_.size(); ++i) {
@@ -184,7 +192,7 @@ void JsonValue::write(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < object_.size(); ++i) {
         if (i > 0) out += ',';
         newline_pad(depth + 1);
-        append_escaped(out, object_[i].first);
+        append_json_string(out, object_[i].first);
         out += indent > 0 ? ": " : ":";
         object_[i].second.write(out, indent, depth + 1);
       }
@@ -234,9 +242,7 @@ bool operator==(const JsonValue& a, const JsonValue& b) {
 // Parser (recursive descent)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-class Parser {
+class JsonValue::Parser {
  public:
   explicit Parser(const std::string& text) : s_(text) {}
 
@@ -308,13 +314,18 @@ class Parser {
       ++pos_;
       return v;
     }
+    // Room for a typical request or config block without regrowing.
+    v.object_.reserve(8);
     for (;;) {
       skip_ws();
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      if (v.contains(key)) err("duplicate key \"" + key + "\"");
-      v[key] = parse_value(depth + 1);
+      for (const auto& member : v.object_) {
+        if (member.first == key) err("duplicate key \"" + key + "\"");
+      }
+      JsonValue value = parse_value(depth + 1);
+      v.object_.emplace_back(std::move(key), std::move(value));
       skip_ws();
       const char c = peek();
       ++pos_;
@@ -345,14 +356,20 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Copy the run up to the next quote, backslash or control character
+      // in one append.
+      std::size_t run = pos_;
+      while (run < s_.size()) {
+        const auto c = static_cast<unsigned char>(s_[run]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++run;
+      }
+      out.append(s_, pos_, run - pos_);
+      pos_ = run;
       if (pos_ >= s_.size()) err("unterminated string");
       const char c = s_[pos_++];
       if (c == '"') return out;
-      if (c != '\\') {
-        if (static_cast<unsigned char>(c) < 0x20) err("raw control character in string");
-        out += c;
-        continue;
-      }
+      if (c != '\\') err("raw control character in string");
       if (pos_ >= s_.size()) err("unterminated escape");
       const char e = s_[pos_++];
       switch (e) {
@@ -414,33 +431,45 @@ class Parser {
       }
     }
     if (pos_ == start + (negative ? 1u : 0u)) err("invalid number");
-    const std::string tok = s_.substr(start, pos_ - start);
-    errno = 0;
-    char* end = nullptr;
+    const std::size_t len = pos_ - start;
     if (!floating) {
+      // -?[0-9]+: exact as int64 when negative, else as uint64; out of
+      // range falls through to double.
+      const char* first = s_.data() + start;
       if (negative) {
-        const long long v = std::strtoll(tok.c_str(), &end, 10);
-        if (end == tok.c_str() + tok.size() && errno == 0) {
-          return JsonValue(static_cast<std::int64_t>(v));
+        std::int64_t v = 0;
+        if (std::from_chars(first, first + len, v).ec == std::errc()) {
+          return JsonValue(v);
         }
       } else {
-        const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-        if (end == tok.c_str() + tok.size() && errno == 0) {
-          return JsonValue(static_cast<std::uint64_t>(v));
+        std::uint64_t v = 0;
+        if (std::from_chars(first, first + len, v).ec == std::errc()) {
+          return JsonValue(v);
         }
       }
-      errno = 0;  // Out-of-range integer: fall through to double.
     }
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size() || !std::isfinite(v)) err("invalid number");
+    // strtod needs a terminated token: copy it to the stack (a token of 64
+    // bytes or more, which no writer emits, takes a heap copy). Parsing in
+    // place could read past the token, e.g. the "x1" of "+0x1".
+    char small[64];
+    std::string big;
+    const char* tok = small;
+    if (len < sizeof small) {
+      std::memcpy(small, s_.data() + start, len);
+      small[len] = '\0';
+    } else {
+      big.assign(s_, start, len);
+      tok = big.c_str();
+    }
+    char* end = nullptr;
+    const double v = std::strtod(tok, &end);
+    if (end != tok + len || !std::isfinite(v)) err("invalid number");
     return JsonValue(v);
   }
 
   const std::string& s_;
   std::size_t pos_ = 0;
 };
-
-}  // namespace
 
 JsonValue JsonValue::parse(const std::string& text) { return Parser(text).run(); }
 

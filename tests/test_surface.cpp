@@ -449,6 +449,106 @@ TEST(ServeSession, RepeatedQueriesAreByteIdenticalAcrossCacheStates) {
   EXPECT_EQ(a[0], b[0]);
 }
 
+/// The `ok` reply to \p req built the way the serve loop once built it: a
+/// util::JsonValue object, dumped. The oracle of the direct reply writer.
+std::string dom_reply(const util::JsonValue& req, const ResponseSurface& s) {
+  util::JsonValue r = util::JsonValue::object();
+  if (req.contains("id")) r["id"] = req.at("id");
+  r["status"] = "ok";
+  const std::string op = req.at("op").as_string();
+  const double vdd = req.at("vdd").as_double();
+  const bool with_pv =
+      req.contains("with_pv") ? req.at("with_pv").as_bool() : true;
+  r["op"] = op;
+  r["scenario"] = req.contains("scenario") ? req.at("scenario").as_string()
+                                           : std::string("scen");
+  r["species"] = req.at("species").as_string();
+  r["vdd"] = vdd;
+  if (op == "pof") {
+    const double e = req.at("energy_mev").as_double();
+    r["energy_mev"] = e;
+    r["with_pv"] = with_pv;
+    r["grid_point"] = s.is_grid_vdd(vdd) && s.is_grid_energy(e);
+    const PofSample p = s.pof(vdd, e, with_pv);
+    r["pof_tot"] = p.tot;
+    r["pof_seu"] = p.seu;
+    r["pof_mbu"] = p.mbu;
+    r["pof_tot_se"] = p.tot_se;
+  } else {
+    r["with_pv"] = with_pv;
+    r["grid_point"] = s.is_grid_vdd(vdd);
+    const FitSample f = s.fit(vdd, with_pv);
+    r["fit_tot"] = f.tot;
+    r["fit_seu"] = f.seu;
+    r["fit_mbu"] = f.mbu;
+  }
+  return r.dump();
+}
+
+TEST(ServeSession, OkRepliesMatchTheDomOracleByteForByte) {
+  const ResponseSurface surf = make_surface();
+  const char* ids[] = {nullptr,
+                       "7",
+                       "-42",
+                       "18446744073709551615",
+                       "2.5",
+                       "\"a\\\"b\\\\c\\n\\u0001\\u00e9/\"",
+                       "null",
+                       "{\"k\": [1, {\"n\": null}], \"s\": \"x\", \"d\": 1e-5}"};
+  // Grid node, off-grid interior, and clamped beyond both axes.
+  const char* points[][2] = {{"0.8", "2.0"}, {"0.7300001", "1.3"},
+                             {"1.5", "100"}};
+  const char* with_pv[] = {nullptr, "true", "false"};
+  std::string input;
+  std::vector<std::string> expected;
+  int n = 0;
+  for (const char* op : {"pof", "fit"}) {
+    for (const auto& pt : points) {
+      for (const char* pv : with_pv) {
+        for (const char* id : ids) {
+          std::string q = "{";
+          if (id != nullptr) q += std::string("\"id\": ") + id + ", ";
+          q += std::string("\"op\": \"") + op + "\", ";
+          if (++n % 2 == 0) q += "\"scenario\": \"scen\", ";
+          q += std::string("\"species\": \"alpha\", \"vdd\": ") + pt[0];
+          if (std::string(op) == "pof") {
+            q += std::string(", \"energy_mev\": ") + pt[1];
+          }
+          if (pv != nullptr) q += std::string(", \"with_pv\": ") + pv;
+          q += "}";
+          input += q + "\n";
+          expected.push_back(dom_reply(util::JsonValue::parse(q), surf));
+        }
+      }
+    }
+  }
+
+  // Inline hits, and the same queries answered by the refiner as misses.
+  ServeSession hits(
+      one_scenario_catalog(), ServeConfig{},
+      [&surf](const std::string&, const std::string&) { return &surf; },
+      [](const std::string&, const std::string&) -> const ResponseSurface* {
+        return nullptr;
+      },
+      nullptr);
+  ServeSession misses(
+      one_scenario_catalog(), ServeConfig{expected.size()},
+      [](const std::string&, const std::string&) -> const ResponseSurface* {
+        return nullptr;
+      },
+      [&surf](const std::string&, const std::string&) { return &surf; },
+      nullptr);
+  for (ServeSession* session : {&hits, &misses}) {
+    int rc = -1;
+    const auto lines = run_session(input, *session, rc);
+    EXPECT_EQ(rc, 0);
+    ASSERT_EQ(lines.size(), expected.size());
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(lines[i], expected[i]);
+    }
+  }
+}
+
 TEST(ServeSession, MalformedAndUnknownRequestsDegradeButKeepServing) {
   const ResponseSurface surf = make_surface();
   ServeSession session(
@@ -745,6 +845,37 @@ TEST(ServeSession, StatsSettlesBehindAnInFlightMiss) {
   EXPECT_EQ(hists.at("serve.refine_ms").at("count").as_uint(), 1u);
   EXPECT_GE(hists.at("serve.refine_ms").at("max").as_uint(), 50u);
   EXPECT_EQ(hists.at("serve.miss_wait_ms").at("count").as_uint(), 1u);
+}
+
+TEST(ServeSession, EachInlineHitRecordsItsLatency) {
+  const ObsOn obs_on;
+  const ResponseSurface surf = make_surface();
+  std::atomic<bool> refined{false};
+  ServeSession session(
+      one_scenario_catalog(), ServeConfig{},
+      [&surf, &refined](const std::string&,
+                        const std::string&) -> const ResponseSurface* {
+        return refined.load() ? &surf : nullptr;
+      },
+      [&surf, &refined](const std::string&, const std::string&) {
+        refined = true;
+        return &surf;
+      },
+      nullptr);
+  int rc = -1;
+  // One miss (refined, not an inline hit), then three hits and a stats.
+  const auto lines = run_session(
+      fit_query(1, "alpha") + "\n{\"op\": \"stats\"}\n" +
+          fit_query(2, "alpha") + "\n" + fit_query(3, "alpha") + "\n" +
+          fit_query(4, "alpha") + "\n{\"op\": \"stats\"}\n",
+      session, rc);
+  EXPECT_EQ(rc, 0);
+  ASSERT_EQ(lines.size(), 6u);
+  const util::JsonValue stats = util::JsonValue::parse(lines[5]);
+  EXPECT_EQ(stats.at("counters").at("serve.cache_hits").as_uint(), 3u);
+  const util::JsonValue& hit_us = stats.at("histograms").at("serve.hit_us");
+  EXPECT_EQ(hit_us.at("count").as_uint(), 3u);
+  EXPECT_LE(hit_us.at("min").as_uint(), hit_us.at("max").as_uint());
 }
 
 }  // namespace
