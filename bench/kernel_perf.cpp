@@ -365,43 +365,55 @@ void report_spice_kernel() {
         .count();
   };
 
-  // Lane-batched pass: the same workload, rebound lane_width() samples at a
-  // time and every charge step of the ladder advanced for the whole lane
-  // group in one batched transient — exactly the shape the characterizer
-  // drives. Against the rebind pass (one lane per transient) this measures
-  // what the lane width buys.
+  // Lane-batched pass: the same workload as one job stream — each PV sample
+  // is a job walking its charge ladder on one lane, carrying its DC hold
+  // point, and a lane that finishes its job takes the next sample at once —
+  // exactly the shape the characterizer drives. Against the rebind pass (one
+  // lane per transient) this measures what the lane width buys.
   const std::size_t lanes = spice::lane_width();
+  struct Ladders final : sram::StrikeSimulator::ProbeSource {
+    const std::vector<sram::DeltaVt>& dvts;
+    const std::vector<std::array<double, kSimsPerSample>>& charges;
+    std::vector<sram::StrikeOutcome>& out;
+    std::size_t next_sample = 0;
+    std::array<std::size_t, spice::kMaxLaneWidth> sample{};
+    std::array<int, spice::kMaxLaneWidth> step{};
+    std::array<bool, spice::kMaxLaneWidth> busy{};
+    std::array<std::vector<double>, spice::kMaxLaneWidth> hold;
+
+    Ladders(const std::vector<sram::DeltaVt>& d,
+            const std::vector<std::array<double, kSimsPerSample>>& c,
+            std::vector<sram::StrikeOutcome>& o)
+        : dvts(d), charges(c), out(o) {}
+
+    bool next(std::size_t lane, sram::StrikeSimulator::Probe& probe) override {
+      if (!busy[lane] || step[lane] == kSimsPerSample) {
+        busy[lane] = next_sample < dvts.size();
+        if (!busy[lane]) return false;
+        sample[lane] = next_sample++;
+        step[lane] = 0;
+        hold[lane].clear();
+      }
+      probe.charges = sram::StrikeCharges{
+          charges[sample[lane]][static_cast<std::size_t>(step[lane])], 0.0,
+          0.0};
+      probe.dvt = dvts[sample[lane]];
+      probe.hold = &hold[lane];
+      return true;
+    }
+    void finish(std::size_t lane,
+                const sram::StrikeSimulator::LaneOutcome& o) override {
+      out[sample[lane] * static_cast<std::size_t>(kSimsPerSample) +
+          static_cast<std::size_t>(step[lane]++)] = o.outcome;
+    }
+  };
   const auto run_batched = [&](std::vector<sram::StrikeOutcome>& out) {
     out.assign(static_cast<std::size_t>(kSamples * kSimsPerSample),
                sram::StrikeOutcome{});
     sram::StrikeSimulator sim(design, vdd);
-    std::vector<sram::StrikeCharges> qs;
-    std::vector<sram::DeltaVt> ds;
-    std::vector<std::uint8_t> active;
-    std::vector<sram::StrikeSimulator::LaneOutcome> res;
+    Ladders ladders(dvts, charges, out);
     const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kSamples; i += static_cast<int>(lanes)) {
-      const std::size_t group =
-          std::min(lanes, static_cast<std::size_t>(kSamples - i));
-      ds.assign(dvts.begin() + i, dvts.begin() + i + static_cast<int>(group));
-      active.assign(group, 1);
-      for (int s = 0; s < kSimsPerSample; ++s) {
-        qs.clear();
-        for (std::size_t g = 0; g < group; ++g) {
-          qs.push_back(sram::StrikeCharges{
-              charges[static_cast<std::size_t>(i) + g]
-                     [static_cast<std::size_t>(s)],
-              0.0, 0.0});
-        }
-        sim.simulate_batch(qs, ds, spice::PulseShape::Kind::kRectangular,
-                           active, res);
-        for (std::size_t g = 0; g < group; ++g) {
-          out[(static_cast<std::size_t>(i) + g) *
-                  static_cast<std::size_t>(kSimsPerSample) +
-              static_cast<std::size_t>(s)] = res[g].outcome;
-        }
-      }
-    }
+    sim.run_stream(ladders, spice::PulseShape::Kind::kRectangular);
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
         .count();
@@ -432,7 +444,7 @@ void report_spice_kernel() {
   const unsigned long long newton_iters = count("spice.tran.newton_iters");
   const unsigned long long dc_reuse = count("sram.strike.dc_reuse");
   // Lane-utilization counters of the batched engine: how full the SIMD lanes
-  // ran and how many lane-iterations were masked-off (converged/ragged).
+  // ran and how many lane-iterations were masked (the stream's drain tail).
   obs::Registry::global().reset();
   run_batched(batch_out);
   const unsigned long long batch_ticks = count("spice.batch.newton_ticks");

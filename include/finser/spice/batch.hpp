@@ -14,19 +14,22 @@
 /// **byte-identical** to the polymorphic reference engine (run_transient,
 /// transient.hpp) with the same binding, for every lane width, at any thread
 /// count — W is a pure throughput knob. It is the only compiled transient
-/// path: a single transient is a group of one (W = 1).
+/// path: a single transient is a stream of one job.
 ///
-/// Lanes are *masked, not branched around*: a converged, finished or failed
-/// lane keeps riding the vector tick (its stamps and LU are computed and
-/// discarded) until the whole group drains. Per-lane Newton bookkeeping —
-/// damping, convergence, step control, the escalation ladder, the latch
-/// exit — stays scalar per lane and mirrors the reference transient loop
-/// statement for statement.
+/// Lanes are *refilled, not held*: the engine draws its transients from a
+/// job source (run_transient_stream). A lane whose job ends — latch exit,
+/// t_end or failure — hands the outcome back and loads the next job before
+/// the next tick, so a lane only rides masked (stamped and discarded) while
+/// the source has nothing ready for it: the drain tail of a stream. Per-lane
+/// Newton bookkeeping — damping, convergence, step control, the escalation
+/// ladder, the latch exit — stays scalar per lane and mirrors the reference
+/// transient loop statement for statement; a refilled lane resets all of it,
+/// so its job runs bit for bit as on a fresh lane.
 ///
 /// Width selection: the compiled default (`kDefaultLaneWidth`) picks the
 /// widest vector unit the build targets; `set_lane_width()` / the
 /// `FINSER_LANES` env var / the `--lanes` CLI flag override it at runtime
-/// (0 = auto). Width 1 is the same engine advancing one transient per group,
+/// (0 = auto). Width 1 is the same engine advancing one transient at a time,
 /// with no SIMD assumptions. All widths {1, 4, 8} are always compiled, so a
 /// vectorized build can be pinned to width 1 without recompiling.
 
@@ -114,9 +117,42 @@ struct BatchWorkspace {
   std::array<std::vector<double>, kMaxLaneWidth> breaks;
 };
 
-/// Per-lane results of one batched transient group. Lane w of the input maps
-/// to index w here; lanes the caller left inactive (empty x0) come back with
-/// an empty waveform and failed[w] == 0.
+/// A stream of transients for run_transient_stream(). The engine asks for a
+/// job whenever a lane is free and reports every job back by the index the
+/// source gave it.
+class TransientJobSource {
+ public:
+  virtual ~TransientJobSource() = default;
+
+  /// Bind the next job to \p lane — load its parameters with
+  /// CompiledCircuit::batch_rebind_lane() — set \p job to its index and
+  /// return its operating point (size n, read before the call returns).
+  /// nullptr means nothing is ready: the lane idles and is asked again
+  /// before the next Newton tick. The run ends once every lane is idle.
+  virtual const std::vector<double>* next(std::size_t lane,
+                                          std::size_t& job) = 0;
+
+  /// Job \p job ended. \p wave holds its probes (valid during the call
+  /// only); \p error is null on success, else the text the reference engine
+  /// throws as util::NumericalError for that transient.
+  virtual void finish(std::size_t job, const Waveform& wave,
+                      const std::string* error) = 0;
+};
+
+/// Run every job \p jobs hands out, bw.lanes at a time. Per job this computes
+/// byte-identical waveforms, reactive state and failure text to the
+/// reference run_transient(cc.source(), x0, opt, probe_nodes) under the
+/// job's binding, whichever lane it lands in and whatever ran there before;
+/// a failed job is reported through finish(), never thrown, and never
+/// perturbs its neighbors. Exceptions thrown by the source propagate.
+/// Options are checked as by run_transient (util::InvalidArgument).
+void run_transient_stream(CompiledCircuit& cc, BatchWorkspace& bw,
+                          TransientJobSource& jobs, const TransientOptions& opt,
+                          const std::vector<std::string>& probe_nodes = {});
+
+/// Per-lane results of run_transient_batch(). Lane w of the input maps to
+/// index w here; lanes the caller left inactive (empty x0) come back with an
+/// empty waveform and failed[w] == 0.
 struct BatchTransientResult {
   std::vector<Waveform> waves;        ///< Size = lane count.
   std::vector<std::uint8_t> failed;   ///< 1 where the lane's run failed.
@@ -125,16 +161,10 @@ struct BatchTransientResult {
   std::vector<std::string> errors;
 };
 
-/// Advance up to bw.lanes independent transients in lockstep. \p x0 supplies
-/// one operating point per lane (size ≤ bw.lanes; an empty entry — or a
-/// missing trailing one — marks the lane inactive, i.e. a masked-off ragged
-/// tail). Per lane this computes byte-identical waveforms, reactive state
-/// and failure text to the reference run_transient(cc.source(), x0[w], opt,
-/// probe_nodes) under the lane's binding; a failed lane is reported in the
-/// result instead of thrown, and never perturbs its neighbors. The
-/// circuit's per-lane parameters must have been loaded with
-/// batch_rebind_lane() beforehand. Options are checked as by run_transient
-/// (util::InvalidArgument).
+/// run_transient_stream() over at most bw.lanes fixed jobs: job w runs on
+/// lane w from operating point \p x0[w] (an empty entry — or a missing
+/// trailing one — leaves the lane idle). The circuit's per-lane parameters
+/// must have been loaded with batch_rebind_lane() beforehand.
 BatchTransientResult run_transient_batch(
     CompiledCircuit& cc, BatchWorkspace& bw,
     const std::vector<std::vector<double>>& x0, const TransientOptions& opt,

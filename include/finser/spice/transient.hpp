@@ -29,6 +29,9 @@ class Waveform {
 
   void append(double t, const std::vector<double>& x);
 
+  /// Drop every sample; the probes (and the sample storage) stay.
+  void clear();
+
   std::size_t probe_count() const { return nodes_.size(); }
   std::size_t sample_count() const { return times_.size(); }
   const std::vector<double>& times() const { return times_; }

@@ -109,9 +109,9 @@ enum class SpiceEngine {
   /// spice::CompiledCircuit at construction; every sample is a parameter
   /// rebind, a DC solve against a persistent SolveWorkspace and a run of the
   /// lane-batched transient engine (spice/batch.hpp). The DC hold state is
-  /// cached per ΔVt vector (it is independent of the strike charges, so a
-  /// whole Qcrit bisection shares one DC solve). Results are bit-identical
-  /// to the reference engine.
+  /// independent of the strike charges, so a job that probes one ΔVt
+  /// vector many times (a whole Qcrit bisection) solves it once.
+  /// Results are bit-identical to the reference engine.
   kCompiled,
   /// Polymorphic reference path: rebuilds solver scratch per solve, exactly
   /// the historical behavior. Kept as the equivalence baseline.
@@ -130,14 +130,13 @@ class StrikeSimulator {
 
   /// Simulate a strike delivering \p charges with the given pulse shape
   /// kind and threshold shifts. The pulse width is the transit time
-  /// τ = L²/(μ·Vdd) (paper Eq. 2). The compiled engine runs it as a lane
-  /// group of one on a workspace of its own, so simulate() never disturbs
-  /// simulate_batch()'s lanes or their DC hold caches.
+  /// τ = L²/(μ·Vdd) (paper Eq. 2). The compiled engine runs it as a stream
+  /// of one job on a one-lane workspace of its own.
   StrikeOutcome simulate(
       const StrikeCharges& charges, const DeltaVt& delta_vt = {},
       spice::PulseShape::Kind kind = spice::PulseShape::Kind::kRectangular);
 
-  /// Per-lane result of simulate_batch(). A failed lane carries the text
+  /// Per-probe result of run_stream(). A failed probe carries the text
   /// simulate() would have thrown as util::NumericalError.
   struct LaneOutcome {
     StrikeOutcome outcome;
@@ -145,22 +144,39 @@ class StrikeSimulator {
     std::string error;
   };
 
-  /// Lane-batched simulate(): run \p charges[k] with \p dvts[k] for every k
-  /// with \p active[k] != 0, advancing up to lane_width() of them in SIMD
-  /// lockstep (larger groups are split internally; inactive lanes are masked
-  /// off, and their \p out entries are left untouched). Each active lane's
-  /// outcome — flip decision, final node voltages, failure text — is
-  /// byte-identical to a simulate() call with the same inputs; a failing
-  /// lane is reported in \p out instead of thrown. Lane k keeps a ΔVt-keyed
-  /// DC hold cache of its own (slot k % lane_width()), so a caller that
-  /// keeps each sample in a stable lane across repeated calls — the
-  /// characterizer's charge ladders do — pays one DC solve per sample. At
-  /// lane_width() 1 the groups hold one sample each; with the reference
-  /// engine this is a loop over simulate().
-  void simulate_batch(
-      const std::vector<StrikeCharges>& charges,
-      const std::vector<DeltaVt>& dvts, spice::PulseShape::Kind kind,
-      const std::vector<std::uint8_t>& active, std::vector<LaneOutcome>& out);
+  /// One strike transient of a run_stream().
+  struct Probe {
+    StrikeCharges charges;
+    DeltaVt dvt{};
+    /// The DC hold point the transient starts from, owned by the caller's
+    /// job. Empty: run_stream() solves it for \p dvt into this vector, so a
+    /// job that keeps the vector across its probes solves it once.
+    std::vector<double>* hold = nullptr;
+  };
+
+  /// The jobs of a run_stream(): at most one probe per lane in flight.
+  class ProbeSource {
+   public:
+    virtual ~ProbeSource() = default;
+    /// The next probe for \p lane; false when nothing is ready (the lane
+    /// idles and is asked again before the next Newton tick).
+    virtual bool next(std::size_t lane, Probe& probe) = 0;
+    /// The outcome of \p lane's probe: failed with simulate()'s error text
+    /// when its DC hold solve or its transient failed.
+    virtual void finish(std::size_t lane, const LaneOutcome& out) = 0;
+  };
+
+  /// Run every probe \p source hands out on lane_width() lanes of the
+  /// lane-batched engine: a lane whose transient ends reports it and takes
+  /// the next probe at once. Returns once every lane is idle. Each outcome
+  /// is byte-identical to simulate() with the same inputs. A probe whose
+  /// hold point is carried in counts as `sram.strike.dc_reuse`. Compiled
+  /// engine only.
+  void run_stream(ProbeSource& source, spice::PulseShape::Kind kind);
+
+  /// The DC hold operating point (every unknown) under \p delta_vt, solved
+  /// as run_stream() solves a probe's hold point. Compiled engine only.
+  std::vector<double> hold_point(const DeltaVt& delta_vt);
 
   /// Static-noise-margin style diagnostic: the hold-state solution.
   /// Returns {V(Q), V(QB)} of the DC operating point with no strike.
@@ -216,12 +232,9 @@ class StrikeSimulator {
   DeltaVt hold_dvt_{};
   std::vector<double> hold_x_;
 
-  // Lane-batched state: the AoSoA workspace (configured lazily to the
-  // current lane width) and one ΔVt-keyed DC hold cache per lane slot.
+  // run_stream()'s AoSoA workspace, configured lazily to the current lane
+  // width.
   spice::BatchWorkspace bw_;
-  std::array<bool, spice::kMaxLaneWidth> hold_lane_valid_{};
-  std::array<DeltaVt, spice::kMaxLaneWidth> hold_lane_dvt_{};
-  std::array<std::vector<double>, spice::kMaxLaneWidth> hold_lane_x_{};
 };
 
 }  // namespace finser::sram

@@ -15,11 +15,14 @@
 ///    search, and PV Monte Carlo is spent only on grid cells within ~4σ of
 ///    that boundary; everything else is deterministically 0 or 1.
 ///
-/// Characterization cost is dominated by SPICE transients, so the expensive
-/// stages run on the exec thread pool: PV samples, boundary-search rows and
-/// near-boundary grid cells are independent work items, each drawing from
-/// its own counter-derived RNG stream (stats::Rng::stream), which keeps the
-/// model bit-identical for any thread count. A full 5-voltage model is a
+/// Characterization cost is dominated by SPICE transients, so it runs as one
+/// job stream on the exec thread pool: every PV sample's bisection, every
+/// boundary row's search and every near-boundary grid cell's sample ladder
+/// is a work item that feeds the lane-batched engine one probe at a time,
+/// with every supply voltage in flight at once. Each item draws from its own
+/// counter-derived RNG stream (stats::Rng::stream) and writes its result by
+/// index, which keeps the model bit-identical for any thread count and lane
+/// width. A full 5-voltage model is a
 /// few tens of seconds on one core; campaigns and the benches cache it in
 /// the artifact store (kind "cell_model", surface::encode_cell_model).
 
@@ -34,10 +37,6 @@
 #include "finser/stats/rng.hpp"
 
 namespace finser::sram {
-
-namespace detail {
-struct SimSlots;  // Per-worker StrikeSimulator instances (characterize.cpp).
-}  // namespace detail
 
 /// Knobs of the characterization campaign.
 struct CharacterizerConfig {
@@ -88,10 +87,14 @@ class CellCharacterizer {
  public:
   CellCharacterizer(const CellDesign& design, const CharacterizerConfig& config);
 
-  /// Characterize every configured supply voltage. Voltage \p i (in sorted
-  /// order) runs under seed stats::Rng::derive_seed(config.seed, i). A fired
-  /// \p cancel throws util::Cancelled between strike simulations; no
-  /// partial model is ever returned.
+  /// Characterize every configured supply voltage, all of them in flight on
+  /// one job stream. Voltage \p i (in sorted order) runs under seed
+  /// stats::Rng::derive_seed(config.seed, i). A fired \p cancel throws
+  /// util::Cancelled between strike simulations; no partial model is ever
+  /// returned. A solve that cannot fail soft (a nominal anchor or boundary
+  /// search) stops the stream and is thrown as util::NumericalError; the
+  /// failed-sample gate of characterize_at() is applied in voltage order once
+  /// every voltage is done.
   CellSoftErrorModel characterize(
       const exec::ProgressSink& progress = {},
       const exec::CancelToken* cancel = nullptr) const;
@@ -112,25 +115,6 @@ class CellCharacterizer {
   const CellDesign& design() const { return design_; }
 
  private:
-  // The expensive stages take the cancel token (polled between strike
-  // simulations) and accumulate per-sample solver-failure bookkeeping into
-  // attempted/failed (see PofTable::attempted_samples).
-  SingleCdf characterize_single(detail::SimSlots& sims, int which,
-                                std::uint64_t seed,
-                                const exec::CancelToken* cancel,
-                                std::size_t& attempted,
-                                std::size_t& failed) const;
-  void characterize_pair(detail::SimSlots& sims, int a, int b,
-                         const util::Axis& axis, double sigma_q_fc,
-                         std::uint64_t seed, util::Grid2& pv,
-                         util::Grid2& nominal, const exec::CancelToken* cancel,
-                         std::size_t& attempted, std::size_t& failed) const;
-  void characterize_triple(detail::SimSlots& sims, const util::Axis& axis,
-                           double sigma_q_fc, std::uint64_t seed,
-                           util::Grid3& pv, util::Grid3& nominal,
-                           const exec::CancelToken* cancel,
-                           std::size_t& attempted, std::size_t& failed) const;
-
   CellDesign design_;
   CharacterizerConfig config_;
 };

@@ -14,7 +14,7 @@
 ///     allocates nothing per sample.
 ///
 /// Transients have one compiled engine, the lane-batched one at the end of
-/// this file (run_transient_batch_impl<W>; width 1 is a lane group of one).
+/// this file (run_transient_stream_impl<W>; width 1 is a lane of one).
 /// The reference transient lives in transient.cpp and shares the option
 /// checks and the latch-exit rule defined here. The compiled stamps mirror
 /// the kernels of stamp_kernels.hpp term for term in netlist order, so the
@@ -601,30 +601,14 @@ inline void batch_lu_solve(BatchWorkspace& bw, std::size_t n,
   }
 }
 
-/// The compiled transient engine: W independent transients advance through
-/// one vectorized Newton tick at a time (W = 1 is a group of one). All
-/// per-lane step control (breakpoint clamping, accept/reject, the escalation
-/// ladder, the latch exit) mirrors the reference loop of transient.cpp
-/// statement for statement and runs per lane; only the per-iteration
-/// stamp+solve+update is batched. Lanes that are done, failed or inactive stay in the vector as
-/// masked compute-and-discard riders until the group drains — freezing, not
-/// branching, is what keeps the hot loop uniform.
-template <std::size_t W>
-BatchTransientResult run_transient_batch_impl(
-    CompiledCircuit& cc, BatchWorkspace& bw,
-    const std::vector<std::vector<double>>& x0, const TransientOptions& opt,
-    const std::vector<std::string>& probe_nodes) {
-  FINSER_REQUIRE(bw.lanes == W, "run_transient_batch: workspace lane mismatch");
-  FINSER_REQUIRE(x0.size() <= W, "run_transient_batch: more lanes than width");
-  check_transient_options(opt, probe_nodes);
-  const std::size_t n = cc.unknown_count();
-  FINSER_REQUIRE(bw.unknowns == n, "run_transient_batch: workspace size mismatch");
-
-  obs::ScopedSpan run_span("spice.tran.run_batch");
-
-  // Resolve probes once (identical resolution to the reference engine).
-  std::vector<std::string> names;
-  std::vector<std::size_t> nodes;
+/// Probe resolution shared by the engine and run_transient_batch(): the
+/// recorded names and node indices, identical to the reference engine's.
+inline void resolve_probes(const CompiledCircuit& cc,
+                           const std::vector<std::string>& probe_nodes,
+                           std::vector<std::string>& names,
+                           std::vector<std::size_t>& nodes) {
+  names.clear();
+  nodes.clear();
   if (probe_nodes.empty()) {
     for (std::size_t i = 0; i < cc.node_count(); ++i) {
       names.push_back(cc.source().node_name(i));
@@ -636,22 +620,46 @@ BatchTransientResult run_transient_batch_impl(
       nodes.push_back(cc.source().find_node(p));
     }
   }
+}
 
-  BatchTransientResult res;
-  res.failed.assign(W, 0);
-  res.errors.assign(W, std::string());
-  res.waves.reserve(W);
-  for (std::size_t w = 0; w < W; ++w) res.waves.emplace_back(names, nodes);
+/// The compiled transient engine: W lanes advance through one vectorized
+/// Newton tick at a time (W = 1 is a lane of one), each running jobs drawn
+/// from \p jobs. All per-lane step control (breakpoint clamping,
+/// accept/reject, the escalation ladder, the latch exit) mirrors the
+/// reference loop of transient.cpp statement for statement and runs per
+/// lane; only the per-iteration stamp+solve+update is batched. A lane whose
+/// job ends reports it and is refilled in the same bookkeeping pass; a lane
+/// the source has nothing for stays in the vector as a masked
+/// compute-and-discard rider — freezing, not branching, is what keeps the
+/// hot loop uniform.
+template <std::size_t W>
+void run_transient_stream_impl(CompiledCircuit& cc, BatchWorkspace& bw,
+                               TransientJobSource& jobs,
+                               const TransientOptions& opt,
+                               const std::vector<std::string>& probe_nodes) {
+  FINSER_REQUIRE(bw.lanes == W, "run_transient_batch: workspace lane mismatch");
+  check_transient_options(opt, probe_nodes);
+  const std::size_t n = cc.unknown_count();
+  FINSER_REQUIRE(bw.unknowns == n, "run_transient_batch: workspace size mismatch");
+
+  obs::ScopedSpan run_span("spice.tran.run_batch");
+
+  std::vector<std::string> names;
+  std::vector<std::size_t> nodes;
+  resolve_probes(cc, probe_nodes, names, nodes);
+  std::vector<Waveform> waves;
+  waves.reserve(W);
+  for (std::size_t w = 0; w < W; ++w) waves.emplace_back(names, nodes);
 
   enum class Phase : std::uint8_t {
-    kInactive,  ///< Masked-off ragged-tail lane: rides, never reported.
+    kIdle,      ///< No job: rides masked until the source has one.
     kStepping,  ///< Between steps: scalar bookkeeping will arm a Newton.
     kNewton,    ///< Mid-Newton: participates in the vectorized tick.
-    kDone,
-    kFailed,
   };
   std::array<Phase, W> phase;
-  phase.fill(Phase::kInactive);
+  phase.fill(Phase::kIdle);
+  std::array<std::size_t, W> job{};
+  std::array<bool, W> ran{};    ///< The lane finished a job in this run.
   std::array<double, W> t{};
   std::array<double, W> dt{};
   std::array<double, W> bt{};   ///< Per-lane stamp time (ctx.time).
@@ -664,9 +672,8 @@ BatchTransientResult run_transient_batch_impl(
   std::array<int, W> eff_max_newton{};
   std::array<double, W> eff_damping{};
   std::array<std::uint64_t, W> accepted{};
-  // Keep masked lanes' dt positive: they are stamped unconditionally and the
+  // Keep idle lanes' dt positive: they are stamped unconditionally and the
   // capacitor companion divides by it.
-  dt.fill(opt.dt_initial);
   bdt.fill(opt.dt_initial);
 
   std::vector<double> xscratch(n, 0.0);
@@ -675,19 +682,16 @@ BatchTransientResult run_transient_batch_impl(
     out.resize(n);
     for (std::size_t i = 0; i < n; ++i) out[i] = src[i * W + w];
   };
-  const auto inject_lane = [&](const std::vector<double>& in, std::size_t w,
-                               std::vector<double>& dst) {
-    for (std::size_t i = 0; i < n; ++i) dst[i * W + w] = in[i];
-  };
 
-  // Initialize active lanes; masked lanes inherit the first active lane's
-  // operating point so their ride-along arithmetic stays finite.
-  std::size_t first_active = W;
-  for (std::size_t w = 0; w < x0.size(); ++w) {
-    if (x0[w].empty()) continue;
-    FINSER_REQUIRE(x0[w].size() == n, "run_transient: x0 size mismatch");
-    if (first_active == W) first_active = w;
+  // Load the source's next job into idle lane w and reset every piece of
+  // per-lane state, so the job runs exactly as on a fresh lane.
+  const auto load = [&](std::size_t w) {
+    std::size_t id = 0;
+    const std::vector<double>* x0 = jobs.next(w, id);
+    if (x0 == nullptr) return false;
+    FINSER_REQUIRE(x0->size() == n, "run_transient: x0 size mismatch");
     FINSER_OBS_COUNT("spice.tran.runs", 1);
+    if (ran[w]) FINSER_OBS_COUNT("spice.batch.lane_refills", 1);
     std::vector<double>& breaks = bw.breaks[w];
     breaks.clear();
     cc.batch_add_breakpoints(bw, w, opt.t_end, breaks);
@@ -697,20 +701,27 @@ BatchTransientResult run_transient_batch_impl(
         std::unique(breaks.begin(), breaks.end(),
                     [](double p, double q) { return std::abs(p - q) < 1e-24; }),
         breaks.end());
-    cc.batch_initialize_state(bw, w, x0[w]);
-    inject_lane(x0[w], w, bw.x);
-    res.waves[w].append(0.0, x0[w]);
-    phase[w] = Phase::kStepping;
+    cc.batch_initialize_state(bw, w, *x0);
+    for (std::size_t i = 0; i < n; ++i) bw.x[i * W + w] = (*x0)[i];
+    waves[w].clear();
+    waves[w].append(0.0, *x0);
+    job[w] = id;
+    t[w] = 0.0;
+    dt[w] = opt.dt_initial;
+    next_break[w] = 0;
+    restart_level[w] = 0;
+    accepted[w] = 0;
     eff_max_newton[w] = opt.max_newton;
     eff_damping[w] = opt.damping_vmax;
-  }
-  if (first_active == W) return res;  // Nothing to do.
-  for (std::size_t w = 0; w < W; ++w) {
-    if (phase[w] == Phase::kInactive) {
-      inject_lane(x0[first_active], w, bw.x);
-      cc.batch_initialize_state(bw, w, x0[first_active]);
-    }
-  }
+    phase[w] = Phase::kStepping;
+    return true;
+  };
+
+  const auto end_job = [&](std::size_t w, const std::string* error) {
+    phase[w] = Phase::kIdle;
+    ran[w] = true;
+    jobs.finish(job[w], waves[w], error);
+  };
 
   // Accept-path bookkeeping for lane w (the reference loop's accept branch).
   const auto accept = [&](std::size_t w) {
@@ -722,7 +733,7 @@ BatchTransientResult run_transient_batch_impl(
     cc.batch_commit(bw, w, bt[w], bdt[w], opt.method);
     t[w] = bt[w];
     extract_lane(bw.x, w, xscratch);
-    res.waves[w].append(t[w], xscratch);
+    waves[w].append(t[w], xscratch);
     if (hit_break[w]) {
       dt[w] = opt.dt_initial;  // Restart small after a source edge.
       ++next_break[w];
@@ -732,7 +743,7 @@ BatchTransientResult run_transient_batch_impl(
     phase[w] = Phase::kStepping;
   };
 
-  // Reject path for lane w; a drained escalation ladder marks the lane
+  // Reject path for lane w; a drained escalation ladder ends the job as
   // failed with the text the reference engine throws.
   const auto reject = [&](std::size_t w) {
     FINSER_OBS_COUNT("spice.tran.rejects", 1);
@@ -748,14 +759,13 @@ BatchTransientResult run_transient_batch_impl(
                          opt.dt_initial * std::pow(0.1, restart_level[w]));
       } else {
         FINSER_OBS_COUNT("spice.tran.failures", 1);
-        res.failed[w] = 1;
-        res.errors[w] =
+        const std::string error =
             "run_transient: Newton failed to converge at t = " +
             std::to_string(t[w]) + " after " +
             std::to_string(restart_level[w]) + " escalation(s) (max_newton " +
             std::to_string(eff_max_newton[w]) + ", damping_vmax " +
             std::to_string(eff_damping[w]) + ")";
-        phase[w] = Phase::kFailed;
+        end_job(w, &error);
       }
     }
   };
@@ -764,37 +774,39 @@ BatchTransientResult run_transient_batch_impl(
   std::array<LaneLu, W> lu_status{};
 
   for (;;) {
-    // --- Per-lane scalar bookkeeping: arm the next Newton attempt ---------
+    // --- Per-lane scalar bookkeeping: end, refill, arm the next Newton ----
     for (std::size_t w = 0; w < W; ++w) {
-      if (phase[w] != Phase::kStepping) continue;
-      std::vector<double>& breaks = bw.breaks[w];
-      if (t[w] >= opt.t_end - 1e-24 ||
-          latch_exit(opt, breaks, nodes, t[w], [&bw, w](std::size_t i) {
-            return bw.x[i * W + w];
-          })) {
-        FINSER_OBS_RECORD("spice.tran.steps_per_run", accepted[w]);
-        phase[w] = Phase::kDone;
-        continue;
-      }
-      while (next_break[w] < breaks.size() &&
-             breaks[next_break[w]] <= t[w] + 1e-24) {
-        ++next_break[w];
-      }
+      while (phase[w] != Phase::kNewton) {
+        if (phase[w] == Phase::kIdle && !load(w)) break;
+        std::vector<double>& breaks = bw.breaks[w];
+        if (t[w] >= opt.t_end - 1e-24 ||
+            latch_exit(opt, breaks, nodes, t[w], [&bw, w](std::size_t i) {
+              return bw.x[i * W + w];
+            })) {
+          FINSER_OBS_RECORD("spice.tran.steps_per_run", accepted[w]);
+          end_job(w, nullptr);
+          continue;
+        }
+        while (next_break[w] < breaks.size() &&
+               breaks[next_break[w]] <= t[w] + 1e-24) {
+          ++next_break[w];
+        }
 
-      hit_break[w] = false;
-      step[w] = dt[w];
-      if (next_break[w] < breaks.size() &&
-          t[w] + step[w] >= breaks[next_break[w]] - 1e-24) {
-        step[w] = breaks[next_break[w]] - t[w];
-        hit_break[w] = true;
+        hit_break[w] = false;
+        step[w] = dt[w];
+        if (next_break[w] < breaks.size() &&
+            t[w] + step[w] >= breaks[next_break[w]] - 1e-24) {
+          step[w] = breaks[next_break[w]] - t[w];
+          hit_break[w] = true;
+        }
+        bt[w] = t[w] + step[w];
+        bdt[w] = step[w];
+        for (std::size_t i = 0; i < n; ++i) {
+          bw.x_try[i * W + w] = bw.x[i * W + w];
+        }
+        newton_iter[w] = 0;
+        phase[w] = Phase::kNewton;
       }
-      bt[w] = t[w] + step[w];
-      bdt[w] = step[w];
-      for (std::size_t i = 0; i < n; ++i) {
-        bw.x_try[i * W + w] = bw.x[i * W + w];
-      }
-      newton_iter[w] = 0;
-      phase[w] = Phase::kNewton;
     }
 
     std::size_t n_active = 0;
@@ -802,7 +814,7 @@ BatchTransientResult run_transient_batch_impl(
       newton_mask[w] = phase[w] == Phase::kNewton ? 1 : 0;
       n_active += newton_mask[w];
     }
-    if (n_active == 0) break;  // Every lane done, failed or inactive.
+    if (n_active == 0) break;  // Every lane idle: the source is drained.
 
     // --- One masked vectorized Newton iteration over all lanes -------------
     FINSER_OBS_COUNT("spice.tran.newton_iters",
@@ -856,7 +868,7 @@ BatchTransientResult run_transient_batch_impl(
         }
       }
       for (std::size_t w = 0; w < W; ++w) {
-        if (phase[w] != Phase::kNewton) continue;
+        if (newton_mask[w] == 0) continue;
         if (lu_status[w] != LaneLu::kOk) {
           // The reference Newton catches the LU throw and reports
           // convergence failure without touching the iterate.
@@ -871,7 +883,6 @@ BatchTransientResult run_transient_batch_impl(
       }
     }
   }
-  return res;
 }
 
 }  // namespace finser::spice::detail

@@ -1,6 +1,7 @@
 #include "finser/sram/cell.hpp"
 
 #include "finser/obs/obs.hpp"
+#include "finser/spice/batch.hpp"
 #include "finser/spice/dc.hpp"
 #include "finser/util/error.hpp"
 #include "finser/util/fault.hpp"
@@ -149,6 +150,14 @@ const std::vector<double>& StrikeSimulator::hold_cached(const DeltaVt& delta_vt)
   return hold_x_;
 }
 
+std::vector<double> StrikeSimulator::hold_point(const DeltaVt& delta_vt) {
+  FINSER_REQUIRE(engine_ == SpiceEngine::kCompiled,
+                 "hold_point: needs the compiled engine");
+  apply_delta_vt(delta_vt);
+  compiled_->rebind();
+  return spice::solve_dc(*compiled_, ws_, hold_guess());
+}
+
 std::array<double, 2> StrikeSimulator::hold_state(const DeltaVt& delta_vt) {
   if (engine_ == SpiceEngine::kReference) {
     const auto x = solve_hold(delta_vt);
@@ -198,7 +207,7 @@ StrikeOutcome StrikeSimulator::simulate(const StrikeCharges& charges,
   // Compiled hot path: mutate the source devices exactly as the reference
   // engine would, then rebind the plan once. The strike shapes are open in
   // DC, so setting them before the hold solve changes nothing there. The
-  // transient is a lane group of one on simulate()'s own workspace.
+  // transient is a stream of one job on simulate()'s own workspace.
   apply_delta_vt(delta_vt);
   set_strike_shapes(charges, kind);
   compiled_->rebind();
@@ -219,96 +228,72 @@ StrikeOutcome StrikeSimulator::outcome_of(const spice::Waveform& wave) const {
   return out;
 }
 
-void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
-                                     const std::vector<DeltaVt>& dvts,
-                                     PulseShape::Kind kind,
-                                     const std::vector<std::uint8_t>& active,
-                                     std::vector<LaneOutcome>& out) {
-  const std::size_t count = charges.size();
-  FINSER_REQUIRE(dvts.size() == count && active.size() == count,
-                 "simulate_batch: input size mismatch");
-  if (out.size() < count) out.resize(count);
-
-  if (engine_ == SpiceEngine::kReference) {
-    for (std::size_t k = 0; k < count; ++k) {
-      if (!active[k]) continue;
-      out[k] = LaneOutcome{};
-      try {
-        out[k].outcome = simulate(charges[k], dvts[k], kind);
-      } catch (const util::NumericalError& e) {
-        out[k].failed = true;
-        out[k].error = e.what();
-      }
-    }
-    return;
-  }
-
+void StrikeSimulator::run_stream(ProbeSource& source, PulseShape::Kind kind) {
+  FINSER_REQUIRE(engine_ == SpiceEngine::kCompiled,
+                 "run_stream: needs the compiled engine");
   const std::size_t width = spice::lane_width();
-  if (bw_.lanes != width) {
-    compiled_->batch_configure(bw_, width);
-    hold_lane_valid_.fill(false);
-  }
+  if (bw_.lanes != width) compiled_->batch_configure(bw_, width);
 
-  std::vector<std::vector<double>> x0s;
-  for (std::size_t offset = 0; offset < count; offset += width) {
-    const std::size_t group = std::min(width, count - offset);
-    x0s.assign(group, {});
-    bool any = false;
-    for (std::size_t g = 0; g < group; ++g) {
-      const std::size_t k = offset + g;
-      if (!active[k]) continue;
-      out[k] = LaneOutcome{};
-      // Fault-injection hook, fired in lane order (mirrors simulate()).
-      if (util::fault_fire(util::FaultSite::kNewtonDiverge)) {
-        out[k].failed = true;
-        out[k].error =
-            "StrikeSimulator::simulate: injected Newton divergence "
-            "(FINSER_FAULT newton_diverge)";
-        continue;
-      }
-      // Bind lane g: same setter+rebind sequence as simulate(), then
-      // captured into the lane's AoSoA slices.
-      apply_delta_vt(dvts[k]);
-      set_strike_shapes(charges[k], kind);
-      compiled_->rebind();
-      compiled_->batch_rebind_lane(bw_, g);
-      // Per-lane ΔVt-keyed DC hold cache (see hold_cached for why exact
-      // keying keeps results independent of hit patterns). The DC solve
-      // itself stays scalar: it is ~2% of a sample's cost and amortized to
-      // one per sample by this cache.
-      if (hold_lane_valid_[g] && hold_lane_dvt_[g] == dvts[k]) {
-        FINSER_OBS_COUNT("sram.strike.dc_reuse", 1);
-        x0s[g] = hold_lane_x_[g];
-        any = true;
-        continue;
-      }
-      try {
-        hold_lane_x_[g] = spice::solve_dc(*compiled_, ws_, hold_guess());
-        hold_lane_dvt_[g] = dvts[k];
-        hold_lane_valid_[g] = true;
-        x0s[g] = hold_lane_x_[g];
-        any = true;
-      } catch (const util::NumericalError& e) {
-        hold_lane_valid_[g] = false;
-        out[k].failed = true;
-        out[k].error = e.what();
-      }
-    }
-    if (!any) continue;
+  // Adapts strike probes to engine jobs: job id = lane, one probe per lane.
+  struct Jobs final : spice::TransientJobSource {
+    StrikeSimulator& sim;
+    ProbeSource& src;
+    PulseShape::Kind kind;
 
-    const spice::BatchTransientResult res =
-        spice::run_transient_batch(*compiled_, bw_, x0s, topt_, {"q", "qb"});
-    for (std::size_t g = 0; g < group; ++g) {
-      const std::size_t k = offset + g;
-      if (x0s[g].empty()) continue;
-      if (res.failed[g]) {
-        out[k].failed = true;
-        out[k].error = res.errors[g];
-        continue;
+    Jobs(StrikeSimulator& s, ProbeSource& p, PulseShape::Kind k)
+        : sim(s), src(p), kind(k) {}
+
+    const std::vector<double>* next(std::size_t lane,
+                                    std::size_t& job) override {
+      Probe probe;
+      while (src.next(lane, probe)) {
+        // Fault-injection hook, fired once per probe (mirrors simulate()).
+        if (util::fault_fire(util::FaultSite::kNewtonDiverge)) {
+          fail(lane,
+               "StrikeSimulator::simulate: injected Newton divergence "
+               "(FINSER_FAULT newton_diverge)");
+          continue;
+        }
+        // Same setter+rebind sequence as simulate(), captured into the
+        // lane's AoSoA slices; the strike shapes are open in DC.
+        sim.apply_delta_vt(probe.dvt);
+        sim.set_strike_shapes(probe.charges, kind);
+        sim.compiled_->rebind();
+        sim.compiled_->batch_rebind_lane(sim.bw_, lane);
+        if (!probe.hold->empty()) {
+          FINSER_OBS_COUNT("sram.strike.dc_reuse", 1);
+        } else {
+          try {
+            *probe.hold =
+                spice::solve_dc(*sim.compiled_, sim.ws_, sim.hold_guess());
+          } catch (const util::NumericalError& e) {
+            fail(lane, e.what());
+            continue;
+          }
+        }
+        job = lane;
+        return probe.hold;
       }
-      out[k].outcome = outcome_of(res.waves[g]);
+      return nullptr;
     }
-  }
+
+    void finish(std::size_t job, const spice::Waveform& wave,
+                const std::string* error) override {
+      if (error != nullptr) return fail(job, *error);
+      LaneOutcome out;
+      out.outcome = sim.outcome_of(wave);
+      src.finish(job, out);
+    }
+
+    void fail(std::size_t lane, std::string error) {
+      LaneOutcome out;
+      out.failed = true;
+      out.error = std::move(error);
+      src.finish(lane, out);
+    }
+  };
+  Jobs jobs(*this, source, kind);
+  spice::run_transient_stream(*compiled_, bw_, jobs, topt_, {"q", "qb"});
 }
 
 }  // namespace finser::sram

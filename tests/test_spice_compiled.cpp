@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -466,10 +467,51 @@ void bind_params(SolvableCircuit& s, CompiledCircuit& cc, const LaneParams& p) {
   cc.rebind();
 }
 
+/// A stream of more jobs than lanes: job k binds params[k % size] and is
+/// only ready once enough earlier jobs have finished, so lanes idle, are
+/// refilled mid-run, and take jobs in an order the lane count decides.
+struct RefillJobs final : TransientJobSource {
+  SolvableCircuit& s;
+  CompiledCircuit& cc;
+  BatchWorkspace& bw;
+  const std::vector<LaneParams>& params;
+  const std::vector<std::vector<double>>& x0;
+  std::size_t total;
+  std::size_t issued = 0;
+  std::size_t finished = 0;
+  std::vector<Waveform> waves;
+  std::vector<std::uint8_t> seen;
+
+  RefillJobs(SolvableCircuit& sc, CompiledCircuit& c, BatchWorkspace& b,
+             const std::vector<LaneParams>& p,
+             const std::vector<std::vector<double>>& x, std::size_t n)
+      : s(sc), cc(c), bw(b), params(p), x0(x), total(n),
+        waves(n, Waveform({}, {})), seen(n, 0) {}
+
+  const std::vector<double>* next(std::size_t lane, std::size_t& job) override {
+    // Half the lanes start busy; each finished job readies two more.
+    const std::size_t ready =
+        std::min(total, std::max<std::size_t>(1, bw.lanes / 2) + 2 * finished);
+    if (issued == ready) return nullptr;
+    job = issued++;
+    bind_params(s, cc, params[job % params.size()]);
+    cc.batch_rebind_lane(bw, lane);
+    return &x0[job % params.size()];
+  }
+  void finish(std::size_t job, const Waveform& wave,
+              const std::string* error) override {
+    ASSERT_EQ(error, nullptr) << *error;
+    ++seen[job];
+    waves[job] = wave;
+    ++finished;
+  }
+};
+
 // The batched transient must reproduce the reference engine byte for byte,
 // per lane, for every compiled width — including lanes carrying
-// different supply voltages, ΔVt and pulse shapes, and ragged tails where
-// only some lanes are occupied.
+// different supply voltages, ΔVt and pulse shapes, ragged tails where
+// only some lanes are occupied, and lanes refilled mid-run with the next
+// job of a stream.
 TEST(SpiceBatch, BatchTransientMatchesScalarPerLane) {
   stats::Rng rng(271828);
   TransientOptions topt;
@@ -532,6 +574,20 @@ TEST(SpiceBatch, BatchTransientMatchesScalarPerLane) {
                std::to_string(k))
                   .c_str());
         }
+      }
+
+      // Refill: three rounds of the eight parameter sets through one
+      // stream; every job lands wherever a lane frees up.
+      cc.batch_configure(bw, width);
+      RefillJobs jobs(s, cc, bw, params, x0, 3 * params.size());
+      run_transient_stream(cc, bw, jobs, topt, {"out", "out2"});
+      for (std::size_t k = 0; k < jobs.total; ++k) {
+        ASSERT_EQ(jobs.seen[k], 1u) << "job " << k;
+        expect_same_waveform(
+            ref[k % params.size()], jobs.waves[k],
+            ("refill width " + std::to_string(width) + " job " +
+             std::to_string(k))
+                .c_str());
       }
     }
   }
@@ -605,10 +661,50 @@ struct LaneWidthGuard {
   LaneWidthGuard& operator=(const LaneWidthGuard&) = delete;
 };
 
-// simulate_batch must reproduce the reference engine's simulate() byte for
-// byte at every lane width, for group sizes that exercise full groups, internal splitting
-// (count > width) and ragged tails — and the per-sample results must not
-// depend on the width or on where the batch boundaries fall.
+/// Runs charges[k] with dvts[k] for every k with active[k] set, each as one
+/// run_stream() job in index order that solves its own hold point, into
+/// out[k]; the entries of inactive samples are left untouched.
+void stream_samples(StrikeSimulator& sim,
+                    const std::vector<StrikeCharges>& charges,
+                    const std::vector<DeltaVt>& dvts,
+                    const std::vector<std::uint8_t>& active,
+                    std::vector<StrikeSimulator::LaneOutcome>& out) {
+  struct Samples final : StrikeSimulator::ProbeSource {
+    const std::vector<StrikeCharges>& charges;
+    const std::vector<DeltaVt>& dvts;
+    const std::vector<std::uint8_t>& active;
+    std::vector<StrikeSimulator::LaneOutcome>& out;
+    std::size_t cursor = 0;
+    std::array<std::size_t, spice::kMaxLaneWidth> sample{};
+    std::array<std::vector<double>, spice::kMaxLaneWidth> hold;
+
+    Samples(const std::vector<StrikeCharges>& c, const std::vector<DeltaVt>& d,
+            const std::vector<std::uint8_t>& a,
+            std::vector<StrikeSimulator::LaneOutcome>& o)
+        : charges(c), dvts(d), active(a), out(o) {}
+
+    bool next(std::size_t lane, StrikeSimulator::Probe& probe) override {
+      while (cursor < active.size() && !active[cursor]) ++cursor;
+      if (cursor == active.size()) return false;
+      sample[lane] = cursor++;
+      hold[lane].clear();
+      probe = {charges[sample[lane]], dvts[sample[lane]], &hold[lane]};
+      return true;
+    }
+    void finish(std::size_t lane,
+                const StrikeSimulator::LaneOutcome& o) override {
+      out[sample[lane]] = o;
+    }
+  };
+  out.resize(std::max(out.size(), charges.size()));
+  Samples samples(charges, dvts, active, out);
+  sim.run_stream(samples, spice::PulseShape::Kind::kRectangular);
+}
+
+// A strike stream must reproduce the reference engine's simulate() byte for
+// byte at every lane width, for streams shorter and longer than the width —
+// and the per-sample results must not depend on the width or on which
+// samples share the stream.
 TEST(SpiceBatch, StrikeOutcomesMatchScalarAcrossWidths) {
   const CellDesign design;
   stats::Rng rng(991199);
@@ -644,8 +740,7 @@ TEST(SpiceBatch, StrikeOutcomesMatchScalarAcrossWidths) {
       LaneWidthGuard guard(width);
       StrikeSimulator sim(design, vdd);
       std::vector<StrikeSimulator::LaneOutcome> out;
-      sim.simulate_batch(charges, dvts, spice::PulseShape::Kind::kRectangular,
-                         all, out);
+      stream_samples(sim, charges, dvts, all, out);
       ASSERT_EQ(out.size(), kCount);
       for (std::size_t k = 0; k < kCount; ++k) {
         ASSERT_FALSE(out[k].failed) << out[k].error;
@@ -655,14 +750,12 @@ TEST(SpiceBatch, StrikeOutcomesMatchScalarAcrossWidths) {
         EXPECT_EQ(out[k].outcome.final_qb_v, ref[k].final_qb_v);
       }
 
-      // Batch-boundary independence: the same samples fed one at a time
-      // (every call a ragged tail of one) give the same answers.
+      // Stream independence: the same samples fed one at a time (every
+      // stream a single job) give the same answers.
       StrikeSimulator one_by_one(design, vdd);
       for (std::size_t k = 0; k < kCount; ++k) {
         std::vector<StrikeSimulator::LaneOutcome> single;
-        one_by_one.simulate_batch({charges[k]}, {dvts[k]},
-                                  spice::PulseShape::Kind::kRectangular, {1},
-                                  single);
+        stream_samples(one_by_one, {charges[k]}, {dvts[k]}, {1}, single);
         ASSERT_FALSE(single[0].failed) << single[0].error;
         EXPECT_EQ(single[0].outcome.final_q_v, ref[k].final_q_v)
             << "width " << width << " sample " << k;
@@ -672,7 +765,8 @@ TEST(SpiceBatch, StrikeOutcomesMatchScalarAcrossWidths) {
   }
 }
 
-// Inactive lanes must be left untouched and active lanes must not feel them.
+// Samples left out of a stream must stay untouched, and the jobs that run
+// must not feel the lanes left idle.
 TEST(SpiceBatch, MaskedLanesAreUntouched) {
   LaneWidthGuard guard(4);
   const CellDesign design;
@@ -683,8 +777,7 @@ TEST(SpiceBatch, MaskedLanesAreUntouched) {
   std::vector<StrikeSimulator::LaneOutcome> out(5);
   out[1].error = "sentinel";
   out[3].error = "sentinel";
-  sim.simulate_batch(charges, dvts, spice::PulseShape::Kind::kRectangular,
-                     active, out);
+  stream_samples(sim, charges, dvts, active, out);
   EXPECT_EQ(out[1].error, "sentinel");
   EXPECT_EQ(out[3].error, "sentinel");
   const StrikeOutcome want =
@@ -748,6 +841,63 @@ TEST(SpiceBatch, CharacterizeAtAgreesAcrossLaneWidths) {
   }
 }
 
+// The whole model — every voltage in flight on one stream — must be the
+// same bytes at every thread count and lane width, from the same transient
+// work as before the stream existed. The DC hold work is keyed by job, not
+// by worker slot, so its counters are schedule-invariant too.
+TEST(SpiceBatch, CharacterizeIsScheduleInvariant) {
+  CharacterizerConfig cfg;
+  cfg.vdds = {0.9, 0.7, 1.1};
+  cfg.pv_samples_single = 6;
+  cfg.pair_grid_points = 6;
+  cfg.triple_grid_points = 6;
+  cfg.pv_samples_grid = 3;
+  cfg.seed = 21;
+  const CellDesign design;
+  const char* const kCounters[] = {
+      "spice.tran.runs",       "spice.tran.steps",
+      "spice.tran.newton_iters", "spice.dc.solves",
+      "spice.dc.newton_iters", "sram.strike.dc_reuse",
+      "spice.mna.solves"};
+
+  struct Seen {
+    std::vector<std::uint8_t> bytes;
+    std::vector<std::uint64_t> counts;
+  };
+  auto characterize = [&](std::size_t threads, std::size_t width) {
+    LaneWidthGuard guard(width);
+    CharacterizerConfig c = cfg;
+    c.threads = threads;
+    obs::Registry& reg = obs::Registry::global();
+    reg.reset();
+    obs::set_enabled(true);
+    const CellSoftErrorModel model = CellCharacterizer(design, c).characterize();
+    obs::set_enabled(false);
+    Seen seen;
+    seen.bytes = surface::encode_cell_model(model);
+    for (const char* name : kCounters) {
+      seen.counts.push_back(reg.counter(name).total());
+    }
+    reg.reset();
+    return seen;
+  };
+  const Seen want = characterize(1, 1);
+  // The transient work of this model as the lockstep lane groups did it.
+  EXPECT_EQ(want.counts[0], 2991u);
+  EXPECT_EQ(want.counts[1], 124883u);
+  EXPECT_EQ(want.counts[2], 267918u);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+      const Seen got = characterize(threads, width);
+      EXPECT_EQ(want.bytes, got.bytes) << threads << " threads, width " << width;
+      for (std::size_t k = 0; k < want.counts.size(); ++k) {
+        EXPECT_EQ(want.counts[k], got.counts[k])
+            << kCounters[k] << ": " << threads << " threads, width " << width;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Kill-and-rerun through the compiled characterizer path
 // ---------------------------------------------------------------------------
@@ -772,11 +922,13 @@ CharacterizerConfig resume_config() {
 
 /// Characterization as every front-end runs it: the characterize stage of a
 /// single-scenario campaign on an artifact store. Cancels the first run as
-/// soon as the second voltage reports progress (util::Cancelled, nothing
+/// soon as a progress message contains \p trigger (util::Cancelled, nothing
 /// stored), reruns it (characterizes and stores the `cell_model` artifact),
 /// runs it a third time (replays the artifact), and returns the stored
 /// model's bytes.
-std::vector<std::uint8_t> cancel_then_rerun(const std::string& store) {
+std::vector<std::uint8_t> cancel_then_rerun(const std::string& store,
+                                            const std::string& trigger =
+                                                "vdd=0.9") {
   std::filesystem::remove_all(store);
   core::SerFlowConfig flow;
   flow.characterization = resume_config();
@@ -788,9 +940,9 @@ std::vector<std::uint8_t> cancel_then_rerun(const std::string& store) {
   const pipeline::ArtifactStore artifacts(store);
 
   exec::CancelToken token;
-  bool saw_second = false;
+  std::atomic<bool> saw_second{false};
   const exec::ProgressSink canceller([&](const std::string& msg) {
-    if (msg.find("vdd=0.9") != std::string::npos && !saw_second) {
+    if (msg.find(trigger) != std::string::npos && !saw_second) {
       saw_second = true;
       token.cancel();
     }
@@ -827,8 +979,11 @@ TEST(SpiceCompiled, CharacterizerResumesThroughCompiledPath) {
                                   .string()));
 }
 
-// Same contract at lane width 4: a cancelled four-lane run reruns to the byte-identical model — and that model equals a width-1
-// uninterrupted run, so a rerun may even change lane width.
+// Same contract at lane width 4: a cancelled four-lane run reruns to the
+// byte-identical model — and that model equals a width-1 uninterrupted run,
+// so a rerun may even change lane width. The second cancel fires once the
+// first voltage's pair grids are done, with the other voltage still in
+// flight on the same stream.
 TEST(SpiceBatch, CharacterizerResumesThroughBatchedPath) {
   std::vector<std::uint8_t> want;
   {
@@ -837,9 +992,11 @@ TEST(SpiceBatch, CharacterizerResumesThroughBatchedPath) {
         CellCharacterizer(CellDesign{}, resume_config()).characterize());
   }
   LaneWidthGuard batched(4);
-  EXPECT_EQ(want, cancel_then_rerun((std::filesystem::temp_directory_path() /
-                                     "finser_batched_resume")
-                                        .string()));
+  const std::string store =
+      (std::filesystem::temp_directory_path() / "finser_batched_resume")
+          .string();
+  EXPECT_EQ(want, cancel_then_rerun(store));
+  EXPECT_EQ(want, cancel_then_rerun(store, "pair grids done"));
 }
 
 }  // namespace
